@@ -10,6 +10,7 @@ projection matrix, and held-out accuracy is reported once per level.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,8 +41,8 @@ class HyperParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.t_steps < 1:
@@ -167,6 +168,10 @@ def train(
                 raise linalg.NotPositiveDefiniteError(
                     exc.pivot_index, context=f"at boosting level {lv}, step {t}"
                 ) from exc
+            if not np.isfinite(w).all():
+                raise FloatingPointError(
+                    f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
+                )
             residual = linalg.add_scaled(residual, linalg.matmul(h, w), -hyper.alpha)
             del h
             if eval_set is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,6 +56,22 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the CLI contract reserves 2 for I/O.
     def error(self, message):
         raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """argparse type for seeds: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for values that must be finite (no nan or inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
 
 
 def find_idx_file(dataset_dir, dataset: str, kind: str) -> Path:
@@ -261,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--hidden", type=int, default=None,
                          help="hidden width J (default: the input width M)")
     p_train.add_argument("--activation", choices=("tanh", "sign"), default="tanh")
-    p_train.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p_train.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     p_train.add_argument("--train-subset", type=int, default=None,
                          help="use only the first N training rows")
     p_train.add_argument("--model", default="model.elmb", help="output model path")
@@ -281,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--model", default="model.elmb", help="trained model path")
     p_noise.add_argument("--noise-fraction", type=float, nargs="+", default=[0.1],
                          help="fraction(s) of pixels to zero per image (default 0.1)")
-    p_noise.add_argument("--seed", type=int, default=0, help="noise position seed (default 0)")
+    p_noise.add_argument("--seed", type=_seed, default=0, help="noise position seed (default 0)")
     p_noise.add_argument("--out", default="noise.csv", help="output CSV path")
     p_noise.set_defaults(func=cmd_noise)
 
@@ -291,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of hash hyperplanes (default 10000)")
     p_hash.add_argument("--trials", type=int, default=1,
                         help="random pairs averaged per angle (default 1)")
-    p_hash.add_argument("--theta", type=float, nargs="+", default=None,
+    p_hash.add_argument("--theta", type=_finite_float, nargs="+", default=None,
                         help="angles in radians (default: 0, pi/6, pi/4, pi/2, 3pi/4, pi)")
-    p_hash.add_argument("--seed", type=int, default=0, help="pair/hyperplane seed (default 0)")
+    p_hash.add_argument("--seed", type=_seed, default=0, help="pair/hyperplane seed (default 0)")
     p_hash.add_argument("--out", default="hash_sim.csv", help="output CSV path")
     p_hash.set_defaults(func=cmd_hash_sim)
 

@@ -51,3 +51,29 @@ def mnist_dir(dataset: str) -> Path | None:
     except FileNotFoundError:
         return None
     return root
+
+
+_CRC64_POLY = 0xC96C5795D7870F42
+_CRC64_XOR = 0xFFFFFFFFFFFFFFFF
+
+
+def _crc64_byte_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ _CRC64_POLY if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC64_TABLE = _crc64_byte_table()
+
+
+def crc64_reference(data: bytes, state: int = 0) -> int:
+    """Byte-at-a-time CRC-64/XZ: the oracle for elmboost.model_store.crc64."""
+    crc = state ^ _CRC64_XOR
+    table = _CRC64_TABLE
+    for byte in bytes(data):
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ _CRC64_XOR

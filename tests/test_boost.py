@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from elmboost import linalg
 from elmboost.boost import (
     BoostedModel,
     HyperParams,
@@ -34,7 +35,15 @@ class TestHyperParams:
         assert HyperParams(alpha=1.0).alpha == 1.0
 
     @pytest.mark.parametrize(
-        "kwargs", [{"lam": -1.0}, {"t_steps": 0}, {"levels": 0}, {"hidden": 0}]
+        "kwargs",
+        [
+            {"lam": -1.0},
+            {"t_steps": 0},
+            {"levels": 0},
+            {"hidden": 0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+        ],
     )
     def test_other_bounds(self, kwargs):
         with pytest.raises(ValueError):
@@ -152,6 +161,25 @@ class TestTrain:
         y = one_hot_encode(data.labels, 2)
         hyper = HyperParams(lam=0.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
         with pytest.raises(NotPositiveDefiniteError, match="level 0, step 0"):
+            train(data, y, hyper)
+
+    def test_non_finite_weights_raise_with_level_and_step(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = make_dataset(rng, 20, 5, 2)
+        y = one_hot_encode(data.labels, 2)
+        hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
+        solve = linalg.ridge_solve
+        calls = []
+
+        def poisoned_solve(h, residual, lam):
+            calls.append(None)
+            w = solve(h, residual, lam)
+            if len(calls) == 3:
+                w[0, 0] = np.inf
+            return w
+
+        monkeypatch.setattr(linalg, "ridge_solve", poisoned_solve)
+        with pytest.raises(FloatingPointError, match="level 1, step 0"):
             train(data, y, hyper)
 
 

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from elmboost import linalg
 from elmboost.cli import main
 from elmboost.dataset import write_idx_images, write_idx_labels
 
@@ -91,6 +92,22 @@ class TestTrainCommand:
         ))
         assert code == 3
         assert "not positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_1_without_model(self, data_dir, tmp_path, lam):
+        assert main(train_args(data_dir, tmp_path, **{"--lambda": lam})) == 1
+        assert not (tmp_path / "model.elmb").exists()
+
+    def test_non_finite_weights_exit_3_without_model(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            linalg, "ridge_solve",
+            lambda h, y, lam: np.full((h.shape[1], y.shape[1]), np.nan),
+        )
+        assert main(train_args(data_dir, tmp_path)) == 3
+        assert not (tmp_path / "model.elmb").exists()
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCurveCommand:
@@ -219,6 +236,17 @@ class TestNoiseCommand:
         ])
         assert code == 1
 
+    def test_negative_seed_exits_1(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        out = tmp_path / "n.csv"
+        code = main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHashSimCommand:
     def test_default_sweep(self, tmp_path):
@@ -244,6 +272,15 @@ class TestHashSimCommand:
         assert main(["hash-sim", "--dim", "1", "--out", str(tmp_path / "h.csv")]) == 1
         assert main(["hash-sim", "--hashes", "50", "--out", str(tmp_path / "h.csv")]) == 1
         assert main(["hash-sim", "--trials", "0", "--out", str(tmp_path / "h.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--theta", "nan"], ["--theta", "0.5", "inf"]]
+    )
+    def test_bad_values_exit_1_without_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "h.csv"
+        assert main(["hash-sim", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestUsage:

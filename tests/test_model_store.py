@@ -19,7 +19,7 @@ from elmboost.model_store import (
     save,
 )
 
-from helpers import make_dataset
+from helpers import crc64_reference, make_dataset
 
 
 @pytest.fixture
@@ -45,6 +45,7 @@ def refresh_crc(blob):
 class TestCrc64:
     def test_catalog_check_value(self):
         assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+        assert crc64_reference(b"123456789") == 0x995DC9BBDF1939FA
 
     def test_empty(self):
         assert crc64(b"") == 0
@@ -173,4 +174,18 @@ class TestFormatErrors:
         path = tmp_path / "noise.bin"
         path.write_bytes(b"PK\x03\x04" + bytes(100))
         with pytest.raises(BadMagicError):
+            load(path)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda(self, small_model, tmp_path, lam):
+        model, _ = small_model
+        path = tmp_path / "m.elmb"
+        save(model, path)
+
+        def poison_lambda(blob):
+            blob[20:28] = struct.pack("<d", lam)
+            refresh_crc(blob)
+
+        rewrite(path, poison_lambda)
+        with pytest.raises(ModelFormatError, match="lam"):
             load(path)
