@@ -244,12 +244,8 @@ def load(path) -> BoostedModel:
             f"computed {actual_crc:#018x})"
         )
 
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=HEADER_SIZE)
-    grid = flat.reshape(levels, t_steps, hidden, num_classes)
-    # copy: frombuffer views are read-only and would pin the whole blob
-    weights = [
-        [grid[lv, t].astype(np.float64) for t in range(t_steps)] for lv in range(levels)
-    ]
+    # Validate every size before the weight loop: its trip count is
+    # levels * t_steps, which only the checks below tie to the file length.
     try:
         hyper = HyperParams(
             lam=lam,
@@ -260,8 +256,19 @@ def load(path) -> BoostedModel:
             activation=_ACTIVATION_FROM_CODE[act_code],
             master_seed=master_seed,
         )
-        return BoostedModel(
-            hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
-        )
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: invalid header: {exc}") from exc
+        raise ModelFormatError(f"{path}: invalid hyperparameters: {exc}") from exc
+    if num_classes < 1 or input_width < 1:
+        raise ModelFormatError(
+            f"{path}: class count {num_classes} and input width {input_width} must be >= 1"
+        )
+
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=HEADER_SIZE)
+    grid = flat.reshape(levels, t_steps, hidden, num_classes)
+    # copy: frombuffer views are read-only and would pin the whole blob
+    weights = [
+        [grid[lv, t].astype(np.float64) for t in range(t_steps)] for lv in range(levels)
+    ]
+    return BoostedModel(
+        hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
+    )

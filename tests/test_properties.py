@@ -1,6 +1,7 @@
 """Property tests: the numpy CRC against the byte-loop oracle, and the model parser."""
 
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestCrc64MatchesOracle:
         view = memoryview(bytearray(shift) + data)[shift:]
         assert crc64(view) == crc64_reference(data)
 
-    @given(cut=st.integers(0, 9))
+    @pytest.mark.parametrize("cut", range(10))
     def test_catalog_value_chained_at_any_split(self, cut):
         check = b"123456789"
         assert crc64(check[cut:], state=crc64(check[:cut])) == 0x995DC9BBDF1939FA
@@ -205,6 +206,40 @@ class TestParserFuzz:
         _refresh_crc(blob)
         path.write_bytes(bytes(blob))
         _load_or_format_error(path)
+
+    @pytest.mark.parametrize(
+        "levels, t_steps, hidden, input_width, num_classes",
+        [
+            (2**32 - 1, 0, 2, 4, 3),
+            (0, 2**32 - 1, 2, 4, 3),
+            (65535, 65535, 0, 4, 3),
+            (65535, 65535, 2, 4, 0),
+            (65535, 65535, 2, 0, 0),
+            (2**32 - 1, 2**32 - 1, 0, 0, 0),
+        ],
+    )
+    def test_zero_payload_with_huge_grid_is_rejected_quickly(
+        self, tmp_path, levels, t_steps, hidden, input_width, num_classes
+    ):
+        # Each header declares an empty weight payload, so the file passes the
+        # size and checksum checks; load must reject the sizes before it walks
+        # a levels x t_steps grid.
+        model = BoostedModel(
+            hyper=HyperParams(t_steps=1, levels=1, hidden=2),
+            weights=[[np.ones((2, 3))]],
+            num_classes=3,
+            input_width=4,
+        )
+        path = tmp_path / "m.elmb"
+        blob = bytearray(_saved_bytes(model, path))
+        struct.pack_into("<IIIII", blob, 36, levels, t_steps, hidden, input_width, num_classes)
+        blob = _fit_declared_size(blob)
+        _refresh_crc(blob)
+        path.write_bytes(bytes(blob))
+        start = time.perf_counter()
+        with pytest.raises(ModelFormatError):
+            load(path)
+        assert time.perf_counter() - start < 2.0
 
     @_fixture_ok
     @given(blob=st.one_of(
