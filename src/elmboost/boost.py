@@ -61,32 +61,25 @@ class HyperParams:
 class BoostedModel:
     """Trained ensemble: hyperparameters plus the level × step grid of weights.
 
-    Projection matrices are regenerated from the stored seed, never kept,
-    so the model alone suffices for prediction.
+    weights is one C-contiguous float64 array of shape
+    (levels, t_steps, hidden, num_classes); weights[lv, t] is the J×K output
+    matrix of step t in level lv.  Projection matrices are regenerated from
+    the stored seed, never kept, so the model alone suffices for prediction.
     """
 
     hyper: HyperParams
-    weights: list[list[np.ndarray]]  # levels x t_steps, each hidden x num_classes
+    weights: np.ndarray  # levels x t_steps x hidden x num_classes
     num_classes: int
     input_width: int
 
     def __post_init__(self):
         if self.num_classes < 1 or self.input_width < 1:
             raise ValueError("num_classes and input_width must be >= 1")
-        if len(self.weights) != self.hyper.levels:
-            raise ValueError(
-                f"weight grid has {len(self.weights)} levels, expected {self.hyper.levels}"
-            )
-        shape = (self.hyper.hidden, self.num_classes)
-        for level_weights in self.weights:
-            if len(level_weights) != self.hyper.t_steps:
-                raise ValueError(
-                    f"weight grid row has {len(level_weights)} steps, "
-                    f"expected {self.hyper.t_steps}"
-                )
-            for w in level_weights:
-                if w.shape != shape:
-                    raise ValueError(f"weight matrix has shape {w.shape}, expected {shape}")
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        hyper = self.hyper
+        shape = (hyper.levels, hyper.t_steps, hyper.hidden, self.num_classes)
+        if self.weights.shape != shape:
+            raise ValueError(f"weight grid has shape {self.weights.shape}, expected {shape}")
 
     def projection_spec(self) -> ProjectionSpec:
         return ProjectionSpec(
@@ -104,6 +97,13 @@ class TrainReport:
 
     residual_norms: np.ndarray  # levels x t_steps
     level_accuracy: list[float] | None = None
+
+
+def _steps(spec: ProjectionSpec, hyper: HyperParams) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(level, step, projection) for every step of the flat sequence, in order."""
+    for lv in range(hyper.levels):
+        for t in range(hyper.t_steps):
+            yield lv, t, generate_projection(spec, lv, t)
 
 
 def train(
@@ -131,7 +131,8 @@ def train(
         Training configuration.
     eval_set : Dataset, optional
         Held-out samples and labels; when given, the report records the
-        partial-prediction accuracy after each level.
+        partial-prediction accuracy after each level, scored by
+        iter_level_scores on the finished model.
 
     Returns
     -------
@@ -153,47 +154,35 @@ def train(
 
     residual = targets.copy()
     residual_norms = np.zeros((hyper.levels, hyper.t_steps))
-    weights: list[list[np.ndarray]] = []
-    eval_scores: np.ndarray | None = None
-    level_accuracy: list[float] | None = [] if eval_set is not None else None
-
-    for lv in range(hyper.levels):
-        level_weights: list[np.ndarray] = []
-        for t in range(hyper.t_steps):
-            r = generate_projection(spec, lv, t)
-            h = encode(x, r, hyper.activation)
-            try:
-                w = linalg.ridge_solve(h, residual, hyper.lam)
-            except linalg.NotPositiveDefiniteError as exc:
-                raise linalg.NotPositiveDefiniteError(
-                    exc.pivot_index, context=f"at boosting level {lv}, step {t}"
-                ) from exc
-            if not np.isfinite(w).all():
-                raise FloatingPointError(
-                    f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
-                )
-            residual = linalg.add_scaled(residual, linalg.matmul(h, w), -hyper.alpha)
-            del h
-            if eval_set is not None:
-                term = linalg.matmul(encode(eval_set.x, r, hyper.activation), w)
-                eval_scores = term if eval_scores is None else eval_scores + term
-            level_weights.append(w)
-            residual_norms[lv, t] = linalg.frobenius_norm(residual)
-        weights.append(level_weights)
-        if level_accuracy is not None:
-            assert eval_set is not None and eval_scores is not None
-            predicted = classify(hyper.alpha * eval_scores)
-            level_accuracy.append(accuracy(predicted, eval_set.labels))
-            log.info(
-                "level %d/%d: train residual %.6g, eval accuracy %.4f",
-                lv, hyper.levels, residual_norms[lv, -1], level_accuracy[-1],
+    weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, k))
+    for lv, t, r in _steps(spec, hyper):
+        h = encode(x, r, hyper.activation)
+        try:
+            w = linalg.ridge_solve(h, residual, hyper.lam)
+        except linalg.NotPositiveDefiniteError as exc:
+            raise linalg.NotPositiveDefiniteError(
+                exc.pivot_index, context=f"at boosting level {lv}, step {t}"
+            ) from exc
+        if not np.isfinite(w).all():
+            raise FloatingPointError(
+                f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
             )
-        else:
-            log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, -1])
+        # The update multiplies by the solver's own w, not its stored copy:
+        # BLAS may round a product differently for another operand layout.
+        residual -= hyper.alpha * (h @ w)
+        del h
+        weights[lv, t] = w
+        residual_norms[lv, t] = np.linalg.norm(residual)
+        if t == hyper.t_steps - 1:
+            log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
 
-    model = BoostedModel(
-        hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1]
-    )
+    model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
+    level_accuracy = None
+    if eval_set is not None:
+        level_accuracy = []
+        for lv, scores in iter_level_scores(model, eval_set.x):
+            level_accuracy.append(accuracy(classify(scores), eval_set.labels))
+            log.info("level %d/%d: eval accuracy %.4f", lv, hyper.levels, level_accuracy[-1])
     return model, TrainReport(residual_norms=residual_norms, level_accuracy=level_accuracy)
 
 
@@ -203,6 +192,7 @@ def iter_level_scores(model: BoostedModel, x_new: np.ndarray) -> Iterator[tuple[
     Scores accumulate in (level, step) order with the projections regenerated
     from the stored seed, so consuming the final item is exactly
     predict_scores; intermediate items feed accuracy-versus-level curves.
+    Samples must be finite: a NaN or infinite entry raises ValueError.
     """
     x_new = np.ascontiguousarray(x_new, dtype=np.float64)
     if x_new.ndim != 2 or x_new.shape[1] != model.input_width:
@@ -210,15 +200,16 @@ def iter_level_scores(model: BoostedModel, x_new: np.ndarray) -> Iterator[tuple[
             f"input width mismatch: samples are {x_new.shape}, "
             f"model expects {model.input_width} columns"
         )
-    spec = model.projection_spec()
-    act = model.hyper.activation
+    finite = np.isfinite(x_new).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"samples contain non-finite values (first at row {np.argmin(finite)})")
+    hyper = model.hyper
     scores: np.ndarray | None = None
-    for lv in range(model.hyper.levels):
-        for t in range(model.hyper.t_steps):
-            r = generate_projection(spec, lv, t)
-            term = linalg.matmul(encode(x_new, r, act), model.weights[lv][t])
-            scores = term if scores is None else scores + term
-        yield lv, model.hyper.alpha * scores
+    for lv, t, r in _steps(model.projection_spec(), hyper):
+        term = encode(x_new, r, hyper.activation) @ model.weights[lv, t]
+        scores = term if scores is None else scores + term
+        if t == hyper.t_steps - 1:
+            yield lv, hyper.alpha * scores
 
 
 def predict_scores(

@@ -12,6 +12,7 @@ import gzip
 import math
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,10 @@ class IdxTruncatedError(IdxError):
 
 class IdxDimensionError(IdxError):
     """Declared dimensions are zero or implausibly large."""
+
+
+class IdxCompressionError(IdxError):
+    """Gzip stream is truncated or corrupt."""
 
 
 @dataclass
@@ -111,7 +116,10 @@ def _read_maybe_gzipped(path) -> bytes:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxCompressionError(f"{path}: corrupt gzip stream: {exc}") from exc
     return blob
 
 

@@ -1,10 +1,9 @@
-"""Small dense linear-algebra kernels shared by the whole package.
+"""The closed-form ridge solver and the Gram and Cholesky kernels under it.
 
-Everything operates on 2-D float64 numpy arrays.  The heavy lifting
-(products, Cholesky) is delegated to BLAS/LAPACK through numpy and scipy;
-these wrappers add shape validation, the exact-symmetry guarantee for Gram
-matrices, and the positive-definiteness error contract the ridge solver
-relies on.
+Everything operates on 2-D float64 numpy arrays.  Products are plain numpy
+``@`` and the Cholesky factorization is LAPACK through scipy; these
+functions add shape validation and the positive-definiteness error contract
+the ridge solver relies on.
 """
 
 from __future__ import annotations
@@ -24,33 +23,11 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(message)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array with finite entries."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with explicit conformance checking."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {getattr(a, 'shape', '?')} times "
-            f"{getattr(b, 'shape', '?')}"
-        )
-    return a @ b
-
-
 def gram(h: np.ndarray) -> np.ndarray:
-    """HᵀH, averaged with its transpose so the result is exactly symmetric."""
+    """HᵀH, exactly symmetric: numpy computes one triangle and mirrors it."""
     if h.ndim != 2 or h.size == 0:
         raise ValueError(f"gram needs a nonempty 2-D matrix, got shape {h.shape}")
-    g = h.T @ h
-    # IEEE addition commutes, so (g + g.T)/2 is bitwise symmetric.
-    return (g + g.T) * 0.5
+    return h.T @ h
 
 
 def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,14 +72,3 @@ def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         g[np.diag_indices_from(g)] += lam
     return cholesky_solve(g, h.T @ y)
 
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(a))
-
-
-def add_scaled(acc: np.ndarray, delta: np.ndarray, alpha: float) -> np.ndarray:
-    """acc + alpha·delta, elementwise; neither input is mutated."""
-    if acc.shape != delta.shape:
-        raise ValueError(f"add_scaled shape mismatch: {acc.shape} vs {delta.shape}")
-    return acc + alpha * delta

@@ -22,7 +22,9 @@ File layout, all integers little-endian::
 Total size is therefore 57 + 8*levels*t_steps*J*K + 8 bytes.  Projection
 matrices are regenerated from the seed at load time, so the weights are the
 only bulk payload, and saving the same model twice produces byte-identical
-files.
+files.  The weight matrices in (level, step) order are exactly the model's
+(levels, t_steps, J, K) weight grid in row-major order, so the payload is
+written and read as one block.
 
 The checksum is CRC-64/XZ (reflected ECMA-182 polynomial, initial value and
 final XOR all-ones; b"123456789" gives 0x995DC9BBDF1939FA).  It is computed
@@ -188,11 +190,8 @@ def _pack_header(model: BoostedModel) -> bytes:
 
 def save(model: BoostedModel, path) -> None:
     """Write the model in the canonical binary layout, checksum last."""
-    chunks = [_pack_header(model)]
-    for level_weights in model.weights:
-        for w in level_weights:
-            chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    body = b"".join(chunks)
+    # join reads the grid's buffer in place: one copy of the payload, not two
+    body = b"".join((_pack_header(model), model.weights.astype("<f8", copy=False)))
     with open(path, "wb") as f:
         f.write(body)
         f.write(struct.pack("<Q", crc64(body)))
@@ -244,8 +243,7 @@ def load(path) -> BoostedModel:
             f"computed {actual_crc:#018x})"
         )
 
-    # Validate every size before the weight loop: its trip count is
-    # levels * t_steps, which only the checks below tie to the file length.
+    # Validate every size first, so a bad header ends in ModelFormatError.
     try:
         hyper = HyperParams(
             lam=lam,
@@ -263,12 +261,12 @@ def load(path) -> BoostedModel:
             f"{path}: class count {num_classes} and input width {input_width} must be >= 1"
         )
 
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=HEADER_SIZE)
-    grid = flat.reshape(levels, t_steps, hidden, num_classes)
     # copy: frombuffer views are read-only and would pin the whole blob
-    weights = [
-        [grid[lv, t].astype(np.float64) for t in range(t_steps)] for lv in range(levels)
-    ]
+    weights = (
+        np.frombuffer(blob, dtype="<f8", count=count, offset=HEADER_SIZE)
+        .reshape(levels, t_steps, hidden, num_classes)
+        .astype(np.float64)
+    )
     return BoostedModel(
         hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
     )

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matmul
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -60,15 +58,12 @@ class ProjectionSpec:
     master_seed: int
     j: int  # hidden width: rows of each projection matrix
     m: int  # input width: columns of each projection matrix
-    generator_id: int = GENERATOR_SPLITMIX_BOX_MULLER
 
     def __post_init__(self):
         if self.j < 1 or self.m < 1:
             raise ValueError(f"projection dimensions must be >= 1, got {self.j}x{self.m}")
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.generator_id != GENERATOR_SPLITMIX_BOX_MULLER:
-            raise ValueError(f"unknown projection generator id {self.generator_id}")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -131,9 +126,9 @@ def encode(x: np.ndarray, r: np.ndarray, act: Activation) -> np.ndarray:
         raise ValueError(
             f"encode width mismatch: samples are {x.shape}, projections are {r.shape}"
         )
-    z = matmul(x, r.T)
+    z = x @ r.T
     if act is Activation.TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if act is Activation.SIGN:
         return _sign(z)
     raise ValueError(f"unknown activation {act!r}")

@@ -1,6 +1,7 @@
-"""Shared builders for the test suite."""
+"""Shared builders and independent oracles for the test suite."""
 
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +78,61 @@ def crc64_reference(data: bytes, state: int = 0) -> int:
     for byte in bytes(data):
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ _CRC64_XOR
+
+
+def naive_matmul(a, b):
+    """Triple-loop reference product, independent of BLAS."""
+    n, inner = a.shape
+    m = b.shape[1]
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for k in range(inner):
+                acc += a[i, k] * b[k, j]
+            out[i, j] = acc
+    return out
+
+
+def gauss_jordan_solve(a, b):
+    """Pure-Python Gauss-Jordan elimination with partial pivoting."""
+    n = len(a)
+    width = len(b[0])
+    aug = [[float(v) for v in row_a] + [float(v) for v in row_b] for row_a, row_b in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if abs(aug[pivot][col]) < 1e-14:
+            raise ZeroDivisionError("singular system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for row in range(n):
+            if row == col:
+                continue
+            factor = aug[row][col]
+            if factor:
+                aug[row] = [v - factor * p for v, p in zip(aug[row], aug[col])]
+    return np.array([row[n : n + width] for row in aug])
+
+
+def model_file_reference(model) -> bytes:
+    """The .elmb v1 bytes of a model, written from the documented layout.
+
+    Header fields in order (little-endian): magic, version 1, generator id 0,
+    seed, lambda, alpha, levels, t_steps, hidden, input width, class count and
+    activation code (0 tanh, 1 sign); then every (level, step) weight matrix
+    as row-major <f8; then the byte-loop CRC-64/XZ of everything before it.
+    """
+    hyper = model.hyper
+    body = struct.pack(
+        "<4sIIQddIIIIIB",
+        b"ELMB", 1, 0,
+        hyper.master_seed, hyper.lam, hyper.alpha,
+        hyper.levels, hyper.t_steps, hyper.hidden,
+        model.input_width, model.num_classes,
+        {"tanh": 0, "sign": 1}[hyper.activation.value],
+    )
+    for lv in range(hyper.levels):
+        for t in range(hyper.t_steps):
+            body += np.asarray(model.weights[lv][t], dtype="<f8").tobytes(order="C")
+    return body + struct.pack("<Q", crc64_reference(body))

@@ -15,7 +15,7 @@ from elmboost.boost import (
     train,
 )
 from elmboost.dataset import Dataset, RawDataset, normalize, one_hot_encode
-from elmboost.linalg import NotPositiveDefiniteError, frobenius_norm, matmul, ridge_solve
+from elmboost.linalg import NotPositiveDefiniteError, ridge_solve
 from elmboost.projection import Activation, ProjectionSpec, encode, generate_projection
 
 from helpers import make_dataset
@@ -61,10 +61,11 @@ class TestTrain:
         r = generate_projection(ProjectionSpec(master_seed=5, j=9, m=12), 0, 0)
         h = encode(data.x, r, Activation.TANH)
         w = ridge_solve(h, y, 0.7)
-        assert np.array_equal(model.weights[0][0], w)
+        assert np.array_equal(model.weights[0, 0], w)
 
+        # stored grid slice, not the solver's F-ordered w: see criterion 3
         x_new = make_dataset(rng, 20, 12, 3).x
-        direct = matmul(encode(x_new, r, Activation.TANH), w)
+        direct = encode(x_new, r, Activation.TANH) @ model.weights[0, 0]
         assert np.array_equal(predict_scores(model, x_new), direct)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
@@ -75,9 +76,9 @@ class TestTrain:
         hyper = HyperParams(lam=1.0, alpha=alpha, t_steps=4, levels=3, hidden=10, master_seed=2)
         _, report = train(data, y, hyper)
         norms = report.residual_norms.ravel()
-        slack = 1e-9 * frobenius_norm(y)
+        slack = 1e-9 * np.linalg.norm(y)
         assert np.all(norms[1:] <= norms[:-1] + slack)
-        assert norms[0] <= frobenius_norm(y) + slack
+        assert norms[0] <= np.linalg.norm(y) + slack
 
     def test_train_predict_consistency(self):
         rng = np.random.default_rng(2)
@@ -92,8 +93,8 @@ class TestTrain:
         for lv in range(3):
             for t in range(3):
                 h = encode(data.x, generate_projection(spec, lv, t), Activation.TANH)
-                replay -= hyper.alpha * matmul(h, model.weights[lv][t])
-        assert abs(frobenius_norm(replay) - report.residual_norms[-1, -1]) <= 1e-12
+                replay -= hyper.alpha * (h @ model.weights[lv, t])
+        assert abs(np.linalg.norm(replay) - report.residual_norms[-1, -1]) <= 1e-12
         # the prediction path sums the same terms in a different association
         scores = predict_scores(model, data.x, up_to_level=hyper.levels - 1)
         fit = y - replay
@@ -127,7 +128,7 @@ class TestTrain:
 
         for lv in range(2):
             for t in range(2):
-                a, b = model_a.weights[lv][t], model_b.weights[lv][t]
+                a, b = model_a.weights[lv, t], model_b.weights[lv, t]
                 assert np.abs(a - b).max() <= 1e-9 * max(np.abs(a).max(), 1.0)
 
     def test_same_seed_same_model(self):
@@ -137,9 +138,7 @@ class TestTrain:
         hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=5, master_seed=3)
         model_a, _ = train(data, y, hyper)
         model_b, _ = train(data, y, hyper)
-        for row_a, row_b in zip(model_a.weights, model_b.weights):
-            for a, b in zip(row_a, row_b):
-                assert np.array_equal(a, b)
+        assert np.array_equal(model_a.weights, model_b.weights)
 
     def test_target_shape_mismatch(self):
         rng = np.random.default_rng(6)
@@ -183,13 +182,51 @@ class TestTrain:
             train(data, y, hyper)
 
 
+class TestBoostedModel:
+    hyper = HyperParams(t_steps=3, levels=2, hidden=4)
+
+    def test_fitting_grid_is_not_copied(self):
+        weights = np.ones((2, 3, 4, 5))
+        model = BoostedModel(hyper=self.hyper, weights=weights, num_classes=5, input_width=7)
+        assert model.weights is weights
+
+    def test_grid_is_made_c_contiguous_float64(self):
+        weights = np.asfortranarray(np.arange(120, dtype=np.float32).reshape(2, 3, 4, 5))
+        model = BoostedModel(hyper=self.hyper, weights=weights, num_classes=5, input_width=7)
+        assert model.weights.dtype == np.float64 and model.weights.flags.c_contiguous
+        assert np.array_equal(model.weights, weights)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 4, 5), (2, 3, 5, 4), (2, 3, 4, 6), (2, 3, 20), (6, 4, 5)]
+    )
+    def test_wrong_grid_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="weight grid"):
+            BoostedModel(
+                hyper=self.hyper, weights=np.ones(shape), num_classes=5, input_width=7
+            )
+
+
 class TestPredict:
     def test_zero_weights_give_zero_scores(self):
         hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
-        weights = [[np.zeros((4, 3)) for _ in range(2)] for _ in range(2)]
-        model = BoostedModel(hyper=hyper, weights=weights, num_classes=3, input_width=6)
+        model = BoostedModel(
+            hyper=hyper, weights=np.zeros((2, 2, 4, 3)), num_classes=3, input_width=6
+        )
         scores = predict_scores(model, np.zeros((5, 6)))
         assert np.array_equal(scores, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
+        model = BoostedModel(
+            hyper=hyper, weights=np.ones((2, 2, 4, 3)), num_classes=3, input_width=6
+        )
+        x = np.zeros((5, 6))
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            next(iter_level_scores(model, x))
+        with pytest.raises(ValueError, match="row 3"):
+            predict_scores(model, x)
 
     def test_level_truncation_matches_prefix_sum(self):
         rng = np.random.default_rng(8)

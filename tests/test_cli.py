@@ -81,6 +81,14 @@ class TestTrainCommand:
         assert (tmp_path / "m2.elmb").read_bytes() == model_a
         assert (tmp_path / "t2.csv").read_bytes() == csv_a
 
+    def test_truncated_gzip_labels_exit_2_without_traceback(self, data_dir, tmp_path, capsys):
+        path = data_dir / "mnist" / "train-labels-idx1-ubyte.gz"
+        path.write_bytes(path.read_bytes()[:-8])
+        assert main(train_args(data_dir, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "train-labels-idx1-ubyte" in err and "Traceback" not in err
+        assert not (tmp_path / "model.elmb").exists()
+
     def test_bad_subset_exits_1(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path, **{"--train-subset": "0"})) == 1
 

@@ -10,6 +10,7 @@ from elmboost.dataset import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
     Dataset,
+    IdxCompressionError,
     IdxDimensionError,
     IdxError,
     IdxMagicError,
@@ -78,6 +79,27 @@ class TestLoadImages:
         path = tmp_path / "long"
         path.write_bytes(image_blob(1, 1, 2, bytes(2) + b"extra"))
         with pytest.raises(IdxError):
+            load_idx_images(path)
+
+
+class TestCorruptGzip:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda gz: gz[:3],
+            lambda gz: gz[:10],
+            lambda gz: gz[:-8],
+            lambda gz: gz[:-1],
+            lambda gz: gz[:-5] + bytes([gz[-5] ^ 0xFF]) + gz[-4:],
+            lambda gz: gz[:10] + b"\xff" + gz[11:],
+        ],
+        ids=["cut-in-header", "header-only", "no-trailer", "short-trailer", "bad-crc",
+             "reserved-block-type"],
+    )
+    def test_raises_compression_error_naming_path(self, tmp_path, corrupt):
+        path = tmp_path / "bad.gz"
+        path.write_bytes(corrupt(gzip.compress(image_blob(2, 2, 2, bytes(8)))))
+        with pytest.raises(IdxCompressionError, match="bad.gz"):
             load_idx_images(path)
 
 

@@ -3,83 +3,9 @@
 import numpy as np
 import pytest
 
-from elmboost.linalg import (
-    NotPositiveDefiniteError,
-    add_scaled,
-    cholesky_solve,
-    frobenius_norm,
-    gram,
-    matmul,
-    ridge_solve,
-)
+from elmboost.linalg import NotPositiveDefiniteError, cholesky_solve, gram, ridge_solve
 
-
-def naive_matmul(a, b):
-    """Triple-loop reference product, independent of BLAS."""
-    n, inner = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def gauss_jordan_solve(a, b):
-    """Pure-Python Gauss-Jordan elimination with partial pivoting."""
-    n = len(a)
-    width = len(b[0])
-    aug = [[float(v) for v in row_a] + [float(v) for v in row_b] for row_a, row_b in zip(a, b)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-14:
-            raise ZeroDivisionError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = aug[row][col]
-            if factor:
-                aug[row] = [v - factor * p for v, p in zip(aug[row], aug[col])]
-    return np.array([row[n : n + width] for row in aug])
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_hand_checked(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        assert np.array_equal(out, np.array([[2.0], [4.0]]))
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        got = matmul(a, b)
-        want = naive_matmul(a, b)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_naive_up_to_50(self, seed):
-        rng = np.random.default_rng(seed)
-        n, inner, m = rng.integers(1, 51, size=3)
-        a = rng.standard_normal((n, inner))
-        b = rng.standard_normal((inner, m))
-        got = matmul(a, b)
-        want = naive_matmul(a, b)
-        scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(got - want).max() < 1e-12 * scale
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+from helpers import gauss_jordan_solve, naive_matmul
 
 
 class TestGram:
@@ -201,44 +127,3 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.eye(2), -0.5)
 
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 5))) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
-
-    def test_matches_naive_sum(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((6, 6))
-        acc = 0.0
-        for row in a:
-            for v in row:
-                acc += v * v
-        assert abs(frobenius_norm(a) - acc**0.5) < 1e-12
-
-
-class TestAddScaled:
-    def test_alpha_zero_keeps_acc(self):
-        acc = np.array([[1.0, 2.0]])
-        assert np.array_equal(add_scaled(acc, np.array([[5.0, 6.0]]), 0.0), acc)
-
-    def test_zero_acc_alpha_one_is_delta(self):
-        delta = np.array([[2.0, 4.0]])
-        assert np.array_equal(add_scaled(np.zeros((1, 2)), delta, 1.0), delta)
-
-    def test_hand_arithmetic(self):
-        out = add_scaled(np.array([[1.0, 1.0]]), np.array([[2.0, 4.0]]), 0.5)
-        assert np.array_equal(out, np.array([[2.0, 3.0]]))
-
-    def test_inputs_untouched(self):
-        acc = np.ones((2, 2))
-        delta = np.full((2, 2), 3.0)
-        add_scaled(acc, delta, 0.25)
-        assert np.array_equal(acc, np.ones((2, 2)))
-        assert np.array_equal(delta, np.full((2, 2), 3.0))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            add_scaled(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)

@@ -47,8 +47,6 @@ class TestGenerateProjection:
         with pytest.raises(ValueError):
             ProjectionSpec(master_seed=0, j=0, m=4)
         with pytest.raises(ValueError):
-            ProjectionSpec(master_seed=0, j=4, m=4, generator_id=3)
-        with pytest.raises(ValueError):
             ProjectionSpec(master_seed=-1, j=4, m=4)
         spec = ProjectionSpec(master_seed=0, j=4, m=4)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Property tests: the numpy CRC against the byte-loop oracle, and the model parser."""
+"""Property tests: the numpy CRC against the byte-loop oracle, and the two binary parsers."""
 
+import gzip
 import struct
 import time
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from elmboost import model_store
 from elmboost.boost import BoostedModel, HyperParams
+from elmboost.dataset import IMAGE_MAGIC, LABEL_MAGIC, IdxError, load_idx_images, load_idx_labels
 from elmboost.model_store import (
     HEADER_SIZE,
     ChecksumError,
@@ -20,7 +22,7 @@ from elmboost.model_store import (
 )
 from elmboost.projection import Activation
 
-from helpers import crc64_reference
+from helpers import crc64_reference, model_file_reference
 
 LANE_BLOCK = 8 * model_store._LANES  # bytes in one word per lane
 
@@ -84,10 +86,7 @@ def models(draw):
     k = draw(st.integers(1, 4))
     m = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = [
-        [rng.standard_normal((hyper.hidden, k)) for _ in range(hyper.t_steps)]
-        for _ in range(hyper.levels)
-    ]
+    weights = rng.standard_normal((hyper.levels, hyper.t_steps, hyper.hidden, k))
     return BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=m)
 
 
@@ -112,10 +111,13 @@ class TestModelFile:
         loaded = load(path)
         assert loaded.hyper == model.hyper
         assert (loaded.num_classes, loaded.input_width) == (model.num_classes, model.input_width)
-        for row_a, row_b in zip(model.weights, loaded.weights):
-            for a, b in zip(row_a, row_b):
-                assert a.tobytes() == b.tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
         assert _saved_bytes(loaded, path) == first
+
+    @_fixture_ok
+    @given(model=models())
+    def test_save_matches_reference_writer(self, tmp_path, model):
+        assert _saved_bytes(model, tmp_path / "m.elmb") == model_file_reference(model)
 
     @_fixture_ok
     @given(model=models(), where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
@@ -195,7 +197,7 @@ class TestParserFuzz:
     def test_header_field_extremes(self, tmp_path, offset, code, value):
         model = BoostedModel(
             hyper=HyperParams(t_steps=1, levels=1, hidden=2),
-            weights=[[np.ones((2, 3))]],
+            weights=np.ones((1, 1, 2, 3)),
             num_classes=3,
             input_width=4,
         )
@@ -226,7 +228,7 @@ class TestParserFuzz:
         # a levels x t_steps grid.
         model = BoostedModel(
             hyper=HyperParams(t_steps=1, levels=1, hidden=2),
-            weights=[[np.ones((2, 3))]],
+            weights=np.ones((1, 1, 2, 3)),
             num_classes=3,
             input_width=4,
         )
@@ -258,3 +260,60 @@ class TestParserFuzz:
         blob = data.draw(mutations(_saved_bytes(model, path)))
         path.write_bytes(blob)
         _load_or_format_error(path)
+
+
+def _idx_files():
+    """Valid IDX image or label files with a few small records."""
+    images = st.builds(
+        lambda count, rows, cols, seed: struct.pack(">IIII", IMAGE_MAGIC, count, rows, cols)
+        + np.random.default_rng(seed).bytes(count * rows * cols),
+        st.integers(0, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+    )
+    labels = st.builds(
+        lambda count, seed: struct.pack(">II", LABEL_MAGIC, count)
+        + np.random.default_rng(seed).bytes(count),
+        st.integers(0, 20), st.integers(0, 2**32 - 1),
+    )
+    return st.one_of(images, labels)
+
+
+@st.composite
+def _byte_mutations(draw, original: bytes) -> bytes:
+    """original with bytes overwritten, or cut and extended."""
+    blob = bytearray(original)
+    if blob and draw(st.booleans()):
+        positions = st.integers(0, len(blob) - 1)
+        for pos, value in draw(st.lists(st.tuples(positions, st.integers(0, 255)), min_size=1)):
+            blob[pos] = value
+    else:
+        del blob[draw(st.integers(0, len(blob))):]
+        blob += draw(st.binary(max_size=16))
+    return bytes(blob)
+
+
+@st.composite
+def _idx_blobs(draw) -> bytes:
+    """Arbitrary or mutated IDX bytes, gzipped before or after the mutation, or raw."""
+    if draw(st.booleans()):
+        blob = draw(st.binary(max_size=200))
+    else:
+        blob = draw(_byte_mutations(draw(_idx_files())))
+    where = draw(st.sampled_from(["raw", "gzip", "gzip then mutate"]))
+    if where == "gzip":
+        blob = gzip.compress(blob)
+    elif where == "gzip then mutate":
+        blob = draw(_byte_mutations(gzip.compress(blob)))
+    return blob
+
+
+class TestIdxParserFuzz:
+    @_fixture_ok
+    @given(blob=_idx_blobs(), load=st.sampled_from([load_idx_images, load_idx_labels]))
+    def test_returns_array_or_raises_idx_error(self, tmp_path, blob, load):
+        path = tmp_path / "fuzz-idx"
+        path.write_bytes(blob)
+        try:
+            out = load(path)
+        except IdxError:
+            return
+        assert isinstance(out, np.ndarray)
