@@ -9,6 +9,7 @@ projection matrix, and held-out accuracy is reported once per level.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .dataset import Dataset
-from .projection import Activation, ProjectionSpec, encode, generate_projection
+from .projection import Activation, ProjectionSpec, activate, encode, generate_projection
 
 log = logging.getLogger(__name__)
 
@@ -186,49 +187,125 @@ def train(
     return model, TrainReport(residual_norms=residual_norms, level_accuracy=level_accuracy)
 
 
-def iter_level_scores(model: BoostedModel, x_new: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _checked_samples(x_new, models: list[BoostedModel]) -> np.ndarray:
+    """x_new as a C-contiguous float64 matrix that every given model can score."""
+    x = np.ascontiguousarray(x_new, dtype=np.float64)
+    for model in models:
+        if x.ndim != 2 or x.shape[1] != model.input_width:
+            raise ValueError(
+                f"input width mismatch: samples are {x.shape}, "
+                f"model expects {model.input_width} columns"
+            )
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"samples contain non-finite values (first at row {np.argmin(finite)})")
+    return x
+
+
+def _scoring_jobs(model, x_new) -> list[tuple[BoostedModel, np.ndarray]]:
+    """(model, checked input) pairs: one per model, or one per input."""
+    if isinstance(model, BoostedModel):
+        inputs = x_new if isinstance(x_new, list) else [x_new]
+        return [(model, _checked_samples(x, [model])) for x in inputs]
+    if isinstance(x_new, list):
+        raise ValueError("score a list of models or a list of inputs, not both")
+    models = list(model)
+    x = _checked_samples(x_new, models)
+    return [(m, x) for m in models]
+
+
+def _encodings(
+    x: np.ndarray, r: np.ndarray, activations: set[Activation]
+) -> dict[Activation, np.ndarray]:
+    """Hidden encoding of x under each activation, all from one X·Rᵀ."""
+    if Activation.TANH not in activations:
+        return {Activation.SIGN: encode(x, r, Activation.SIGN)}
+    hidden = {Activation.TANH: encode(x, r, Activation.TANH)}
+    if Activation.SIGN in activations:
+        # tanh keeps the sign of every z, -0.0 and subnormals included, so
+        # sign(tanh(z)) == sign(z) bitwise.
+        hidden[Activation.SIGN] = activate(hidden[Activation.TANH], Activation.SIGN)
+    return hidden
+
+
+def _group_walk(jobs, members: list[int]) -> Iterator[list[tuple[int, int, np.ndarray]]]:
+    """Per level, [(job, level, scores)] for jobs whose models share every projection.
+
+    The members' models agree on seed, widths, levels and steps, so one walk
+    over _steps serves them all; members scoring the same input share its
+    encoding at every step.
+    """
+    first = jobs[members[0]][0]
+    by_input: dict[int, list[int]] = {}
+    for i in members:
+        by_input.setdefault(id(jobs[i][1]), []).append(i)
+    scores: dict[int, np.ndarray] = {}
+    for lv, t, r in _steps(first.projection_spec(), first.hyper):
+        for sharing in by_input.values():
+            activations = {jobs[i][0].hyper.activation for i in sharing}
+            hidden = _encodings(jobs[sharing[0]][1], r, activations)
+            for i in sharing:
+                model = jobs[i][0]
+                term = hidden[model.hyper.activation] @ model.weights[lv, t]
+                scores[i] = term if i not in scores else scores[i] + term
+            del hidden  # one input's encodings alive at a time
+        if t == first.hyper.t_steps - 1:
+            yield [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in members]
+
+
+def iter_level_scores(model, x_new) -> Iterator[tuple]:
     """Yield (level, cumulative scores through that level) for each level.
 
     Scores accumulate in (level, step) order with the projections regenerated
     from the stored seed, so consuming the final item is exactly
     predict_scores; intermediate items feed accuracy-versus-level curves.
     Samples must be finite: a NaN or infinite entry raises ValueError.
+
+    Either argument may instead be a list: several models scoring x_new, or
+    several inputs scored by model.  Then each item is (index, level,
+    scores), index pointing into that list, and one pass scores them all:
+    models that share seed, widths, levels and steps generate each projection
+    once, and share one X·Rᵀ per step.  Every score is bitwise the one a
+    separate call gives, and every item of level lv comes before level lv + 1.
     """
-    x_new = np.ascontiguousarray(x_new, dtype=np.float64)
-    if x_new.ndim != 2 or x_new.shape[1] != model.input_width:
-        raise ValueError(
-            f"input width mismatch: samples are {x_new.shape}, "
-            f"model expects {model.input_width} columns"
-        )
-    finite = np.isfinite(x_new).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"samples contain non-finite values (first at row {np.argmin(finite)})")
-    hyper = model.hyper
-    scores: np.ndarray | None = None
-    for lv, t, r in _steps(model.projection_spec(), hyper):
-        term = encode(x_new, r, hyper.activation) @ model.weights[lv, t]
-        scores = term if scores is None else scores + term
-        if t == hyper.t_steps - 1:
-            yield lv, hyper.alpha * scores
+    single = isinstance(model, BoostedModel) and not isinstance(x_new, list)
+    jobs = _scoring_jobs(model, x_new)
+    groups: dict[tuple, list[int]] = {}
+    for i, (job_model, _) in enumerate(jobs):
+        hyper = job_model.hyper
+        key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
+        groups.setdefault(key, []).append(i)
+    walks = [_group_walk(jobs, members) for members in groups.values()]
+    for level in itertools.zip_longest(*walks, fillvalue=()):
+        for i, lv, scores in itertools.chain.from_iterable(level):
+            yield (lv, scores) if single else (i, lv, scores)
 
 
-def predict_scores(
-    model: BoostedModel, x_new: np.ndarray, up_to_level: int | None = None
-) -> np.ndarray:
+def predict_scores(model, x_new, up_to_level: int | None = None):
     """N' x K score matrix for new samples, already normalized like the training data.
 
     Sums alpha-discounted encoding-times-weights terms over all steps of
-    levels 0..up_to_level (default: every level).
+    levels 0..up_to_level (default: every level).  With a list of models or
+    of inputs, as iter_level_scores takes them, returns a list of score
+    matrices, one per item, from one pass.
     """
-    last = model.hyper.levels - 1 if up_to_level is None else up_to_level
-    if not 0 <= last < model.hyper.levels:
-        raise ValueError(
-            f"up_to_level {up_to_level} out of range for {model.hyper.levels} levels"
-        )
-    for lv, scores in iter_level_scores(model, x_new):
-        if lv == last:
-            return scores
-    raise AssertionError("unreachable: level iterator ended early")
+    if isinstance(model, BoostedModel) and not isinstance(x_new, list):
+        return predict_scores(model, [x_new], up_to_level)[0]
+    one_model = isinstance(model, BoostedModel)
+    models = [model] * len(x_new) if one_model else list(model)
+    last = []
+    for m in models:
+        lv = m.hyper.levels - 1 if up_to_level is None else up_to_level
+        if not 0 <= lv < m.hyper.levels:
+            raise ValueError(f"up_to_level {up_to_level} out of range for {m.hyper.levels} levels")
+        last.append(lv)
+    final: dict[int, np.ndarray] = {}
+    for i, lv, scores in iter_level_scores(model if one_model else models, x_new):
+        if lv == last[i]:
+            final[i] = scores
+            if len(final) == len(last):
+                break  # later levels are not needed
+    return [final[i] for i in range(len(last))]
 
 
 def classify(scores: np.ndarray) -> np.ndarray:

@@ -184,29 +184,28 @@ def cmd_curve(args) -> int:
         columns = [f"accuracy_{m.hyper.activation.value}" for m in models]
     else:
         columns = ["accuracy"]
-    curves = []
-    for model, column in zip(models, columns):
-        etas = []
-        for lv, scores in iter_level_scores(model, data.x):
-            etas.append(accuracy(classify(scores), data.labels))
-            log.info("%s level %d: %.4f", column, lv, etas[-1])
-        curves.append(etas)
+    curves = [[] for _ in models]
+    for i, lv, scores in iter_level_scores(models, data.x):
+        curves[i].append(accuracy(classify(scores), data.labels))
+        log.info("%s level %d: %.4f", columns[i], lv, curves[i][-1])
     rows = [(lv, *(curve[lv] for curve in curves)) for lv in range(models[0].hyper.levels)]
     _write_csv(args.out, ["level", *columns], rows)
     return EXIT_OK
 
 
 def cmd_noise(args) -> int:
-    model = model_store.load(args.model)
-    raw = _load_split(args, "test")
     for fraction in args.noise_fraction:
         if not 0.0 <= fraction <= 1.0:
             raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
+    model = model_store.load(args.model)
+    raw = _load_split(args, "test")
+    # Every fraction's input is held at once so that one pass scores them all.
+    inputs = [normalize(zero_pixel_noise(raw, f, args.seed)) for f in args.noise_fraction]
+    _check_model_matches(model, inputs[0])
+    scores = predict_scores(model, [data.x for data in inputs])
     rows = []
-    for fraction in args.noise_fraction:
-        data = normalize(zero_pixel_noise(raw, fraction, args.seed))
-        _check_model_matches(model, data)
-        eta = accuracy(classify(predict_scores(model, data.x)), data.labels)
+    for fraction, data, fraction_scores in zip(args.noise_fraction, inputs, scores):
+        eta = accuracy(classify(fraction_scores), data.labels)
         log.info("noise fraction %g: accuracy %.4f", fraction, eta)
         rows.append((fraction, eta))
     _write_csv(args.out, ["noise_fraction", "accuracy"], rows)

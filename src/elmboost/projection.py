@@ -20,6 +20,10 @@ pinned precisely (generator id 0) so regeneration is bit-exact across runs:
   Deviates fill each J×M matrix row-major; the surplus deviate of the final
   pair, if any, is discarded.
 
+The generator computes the stream in cache-sized blocks of pairs, each from
+its own start counter.  Every step is elementwise, so the blocks join into
+exactly the stream above, whatever the block size.
+
 Changing any of this invalidates every persisted model, hence the generator
 id recorded in model files: a new scheme gets a new id, never a silent edit.
 """
@@ -66,13 +70,6 @@ class ProjectionSpec:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
 def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
     """Seed of the (level, step) sub-stream; plain-int SplitMix64 step."""
     z = ((spec.master_seed ^ (level * _LEVEL_STRIDE + step)) + _GOLDEN) & _MASK64
@@ -81,21 +78,54 @@ def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _uniforms(seed: int, count: int) -> np.ndarray:
-    """SplitMix64 outputs at counters 1..count as a uint64 array."""
-    counters = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix64(np.uint64(seed) + counters * np.uint64(_GOLDEN))
+#: Box-Muller pairs generated per block: the block's working arrays (about
+#: 1 MB) stay in cache while every pass of the transform runs over them.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _normals(seed: int, count: int) -> np.ndarray:
-    """Box-Muller standard normals drawn from the seeded uniform stream."""
+    """Box-Muller standard normals drawn from the seeded uniform stream.
+
+    Fills the output block by block.  Every operation is elementwise and
+    every transcendental function reads a contiguous array, as a whole-stream
+    evaluation would, so the result does not depend on the block size.
+    """
     pairs = (count + 1) // 2
-    u53 = (_uniforms(seed, 2 * pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log1p(-u53[0::2]))
-    angle = (2.0 * np.pi) * u53[1::2]
     z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
+    block = min(pairs, _BLOCK_PAIRS)
+    # Counter c gives the SplitMix64 state seed + c * GOLDEN (mod 2**64), so
+    # a block starting at counter c0 is its start state plus this stride.
+    stride = np.arange(2 * block, dtype=np.uint64) * np.uint64(_GOLDEN)
+    u = np.empty(2 * block, dtype=np.uint64)
+    shifted = np.empty_like(u)
+    u53 = np.empty(2 * block)
+    radius = np.empty(block)
+    angle = np.empty(block)
+    trig = np.empty(block)
+    for first in range(0, pairs, block):
+        n = min(block, pairs - first)
+        b_u, b_shifted, b_u53 = u[: 2 * n], shifted[: 2 * n], u53[: 2 * n]
+        b_radius, b_angle, b_trig = radius[:n], angle[:n], trig[:n]
+        np.add(stride[: 2 * n], np.uint64((seed + (2 * first + 1) * _GOLDEN) & _MASK64), out=b_u)
+        # SplitMix64 finalizer, in place.
+        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(b_u, np.uint64(shift), out=b_shifted)
+            b_u ^= b_shifted
+            if mult is not None:
+                b_u *= np.uint64(mult)
+        b_u >>= np.uint64(11)
+        np.multiply(b_u, 2.0**-53, out=b_u53)
+        # r = sqrt(-2 ln(1 - u53)) over even positions, angle 2*pi*v53 over odd.
+        np.negative(b_u53[0::2], out=b_radius)
+        np.log1p(b_radius, out=b_radius)
+        b_radius *= -2.0
+        np.sqrt(b_radius, out=b_radius)
+        np.multiply(b_u53[1::2], 2.0 * np.pi, out=b_angle)
+        out = z[2 * first : 2 * (first + n)]
+        np.cos(b_angle, out=b_trig)
+        np.multiply(b_radius, b_trig, out=out[0::2])
+        np.sin(b_angle, out=b_trig)
+        np.multiply(b_radius, b_trig, out=out[1::2])
     return z[:count]
 
 
@@ -120,18 +150,22 @@ def _sign(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0, -1.0)
 
 
+def activate(z: np.ndarray, act: Activation) -> np.ndarray:
+    """The activation applied elementwise to z; tanh overwrites z in place."""
+    if act is Activation.TANH:
+        return np.tanh(z, out=z)
+    if act is Activation.SIGN:
+        return _sign(z)
+    raise ValueError(f"unknown activation {act!r}")
+
+
 def encode(x: np.ndarray, r: np.ndarray, act: Activation) -> np.ndarray:
     """Hidden-layer encoding: the activation applied elementwise to X·Rᵀ."""
     if x.ndim != 2 or r.ndim != 2 or x.shape[1] != r.shape[1]:
         raise ValueError(
             f"encode width mismatch: samples are {x.shape}, projections are {r.shape}"
         )
-    z = x @ r.T
-    if act is Activation.TANH:
-        return np.tanh(z, out=z)
-    if act is Activation.SIGN:
-        return _sign(z)
-    raise ValueError(f"unknown activation {act!r}")
+    return activate(x @ r.T, act)
 
 
 def hash_signature(x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -80,6 +80,46 @@ def crc64_reference(data: bytes, state: int = 0) -> int:
     return crc ^ _CRC64_XOR
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_finalize(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def normals_reference(seed: int, count: int) -> np.ndarray:
+    """Whole-stream SplitMix64 + Box-Muller normals: the oracle for the projection generator.
+
+    Uniforms are the SplitMix64 outputs at counters 1, 2, ... from the seed;
+    each consecutive pair (u, v) gives sqrt(-2 ln(1 - u53)) times cos and sin
+    of 2*pi*v53, and the surplus deviate of an odd count is dropped.
+    """
+    pairs = (count + 1) // 2
+    counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    uniforms = _splitmix64_finalize(np.uint64(seed) + counters * np.uint64(_GOLDEN))
+    u53 = (uniforms >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u53[0::2]))
+    angle = (2.0 * np.pi) * u53[1::2]
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:count]
+
+
+def projection_reference(master_seed: int, j: int, m: int, level: int, step: int) -> np.ndarray:
+    """The J×M projection of one (level, step) under generator id 0, built from its spec.
+
+    The sub-stream seed is the first SplitMix64 output of the state
+    master_seed XOR (level * 2**32 + step); deviates fill the matrix row-major.
+    """
+    state = ((master_seed ^ (level * 2**32 + step)) + _GOLDEN) & _MASK64
+    seed = int(_splitmix64_finalize(np.array([state], dtype=np.uint64))[0])
+    return normals_reference(seed, j * m).reshape(j, m)
+
+
 def naive_matmul(a, b):
     """Triple-loop reference product, independent of BLAS."""
     n, inner = a.shape

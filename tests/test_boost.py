@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elmboost import linalg
+from elmboost import boost, linalg
 from elmboost.boost import (
     BoostedModel,
     HyperParams,
@@ -14,11 +14,11 @@ from elmboost.boost import (
     predict_scores,
     train,
 )
-from elmboost.dataset import Dataset, RawDataset, normalize, one_hot_encode
+from elmboost.dataset import Dataset, RawDataset, normalize, one_hot_encode, zero_pixel_noise
 from elmboost.linalg import NotPositiveDefiniteError, ridge_solve
 from elmboost.projection import Activation, ProjectionSpec, encode, generate_projection
 
-from helpers import make_dataset
+from helpers import make_dataset, normalized_rows, separable_images
 
 
 class TestHyperParams:
@@ -260,6 +260,120 @@ class TestPredict:
             predict_scores(model, data.x, up_to_level=2)
         with pytest.raises(ValueError):
             predict_scores(model, data.x, up_to_level=-1)
+
+
+def _random_model(rng, activation, seed=3, levels=2, t_steps=2, hidden=9, m=16, k=3):
+    hyper = HyperParams(
+        alpha=0.5, t_steps=t_steps, levels=levels, hidden=hidden,
+        activation=activation, master_seed=seed,
+    )
+    weights = rng.standard_normal((levels, t_steps, hidden, k))
+    return BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=m)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of projection generations and encode GEMMs made through boost."""
+    counts = {"generate": 0, "encode": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(boost, "generate_projection", counting("generate", generate_projection))
+    monkeypatch.setattr(boost, "encode", counting("encode", encode))
+    return counts
+
+
+class TestOnePassScoring:
+    """Scoring many jobs in one pass gives every job the bits of a separate run."""
+
+    @staticmethod
+    def assert_matches_separate(jobs, items):
+        """items from one pass equal, per job and level, a separate iter_level_scores run."""
+        for i, (model, x) in enumerate(jobs):
+            separate = list(iter_level_scores(model, x))
+            mine = [(lv, scores) for j, lv, scores in items if j == i]
+            assert [lv for lv, _ in mine] == [lv for lv, _ in separate]
+            for (_, got), (_, expected) in zip(mine, separate):
+                assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_tanh_sign_pair_shares_projections_and_gemm(self, calls):
+        rng = np.random.default_rng(20)
+        models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
+        x = normalized_rows(rng, 30, 16)
+        items = list(iter_level_scores(models, x))
+        assert calls == {"generate": 4, "encode": 4}  # one of each per (level, step)
+        self.assert_matches_separate([(m, x) for m in models], items)
+
+    def test_different_seeds_walk_two_groups(self, calls):
+        rng = np.random.default_rng(21)
+        models = [
+            _random_model(rng, Activation.TANH, seed=3),
+            _random_model(rng, Activation.SIGN, seed=4),
+        ]
+        x = normalized_rows(rng, 30, 16)
+        items = list(iter_level_scores(models, x))
+        assert calls == {"generate": 8, "encode": 8}
+        self.assert_matches_separate([(m, x) for m in models], items)
+
+    def test_models_differing_in_levels_or_steps(self):
+        rng = np.random.default_rng(22)
+        models = [
+            _random_model(rng, Activation.TANH, levels=2, t_steps=3),
+            _random_model(rng, Activation.SIGN, levels=3, t_steps=2),
+            _random_model(rng, Activation.TANH, levels=3, t_steps=3),
+        ]
+        x = normalized_rows(rng, 30, 16)
+        items = list(iter_level_scores(models, x))
+        self.assert_matches_separate([(m, x) for m in models], items)
+        levels = [lv for _, lv, _ in items]
+        assert levels == sorted(levels)  # every job's level lv before any level lv + 1
+
+    def test_noise_inputs_share_projections(self, calls):
+        rng = np.random.default_rng(23)
+        images, labels = separable_images(rng, 40, 16, 3)
+        raw = RawDataset(images=images, labels=labels, num_classes=3)
+        inputs = [normalize(zero_pixel_noise(raw, f, 5)).x for f in (0.0, 0.25, 0.5)]
+        model = _random_model(rng, Activation.TANH, levels=3)
+        items = list(iter_level_scores(model, inputs))
+        assert calls == {"generate": 6, "encode": 18}
+        self.assert_matches_separate([(model, x) for x in inputs], items)
+
+    @pytest.mark.parametrize("up_to_level", [None, 0, 1])
+    def test_predict_scores_lists(self, up_to_level):
+        rng = np.random.default_rng(24)
+        models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
+        inputs = [normalized_rows(rng, 20, 16) for _ in range(3)]
+        for got, model in zip(predict_scores(models, inputs[0], up_to_level), models):
+            expected = predict_scores(model, inputs[0], up_to_level)
+            assert np.array_equal(_bits(got), _bits(expected))
+        for got, x in zip(predict_scores(models[0], inputs, up_to_level), inputs):
+            expected = predict_scores(models[0], x, up_to_level)
+            assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_each_input_is_checked(self):
+        rng = np.random.default_rng(25)
+        model = _random_model(rng, Activation.TANH)
+        good = normalized_rows(rng, 5, 16)
+        bad = good.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            predict_scores(model, [good, bad])
+        with pytest.raises(ValueError, match="width mismatch"):
+            predict_scores([model, _random_model(rng, Activation.SIGN, m=15)], good)
+
+    def test_lists_of_both_rejected(self):
+        rng = np.random.default_rng(26)
+        model = _random_model(rng, Activation.TANH)
+        with pytest.raises(ValueError, match="not both"):
+            predict_scores([model], [normalized_rows(rng, 5, 16)])
 
 
 class TestClassify:

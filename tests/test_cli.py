@@ -244,6 +244,17 @@ class TestNoiseCommand:
         ])
         assert code == 1
 
+    def test_bad_fraction_is_a_usage_error_before_the_model_is_read(
+        self, data_dir, tmp_path, capsys
+    ):
+        code = main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "missing.elmb"), "--noise-fraction", "0.1", "1.5",
+            "--out", str(tmp_path / "n.csv"),
+        ])
+        assert code == 1
+        assert "--noise-fraction" in capsys.readouterr().err
+
     def test_negative_seed_exits_1(self, data_dir, tmp_path, capsys):
         assert main(train_args(data_dir, tmp_path)) == 0
         out = tmp_path / "n.csv"

@@ -1,4 +1,5 @@
-"""Property tests: the numpy CRC against the byte-loop oracle, and the two binary parsers."""
+"""Property tests: the numpy CRC and the blocked projection generator against their
+whole-stream oracles, the sign of tanh, and the two binary parsers."""
 
 import gzip
 import struct
@@ -6,10 +7,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from elmboost import model_store
+from elmboost import model_store, projection
 from elmboost.boost import BoostedModel, HyperParams
 from elmboost.dataset import IMAGE_MAGIC, LABEL_MAGIC, IdxError, load_idx_images, load_idx_labels
 from elmboost.model_store import (
@@ -20,9 +21,9 @@ from elmboost.model_store import (
     load,
     save,
 )
-from elmboost.projection import Activation
+from elmboost.projection import Activation, ProjectionSpec, activate, generate_projection
 
-from helpers import crc64_reference, model_file_reference
+from helpers import crc64_reference, model_file_reference, projection_reference
 
 LANE_BLOCK = 8 * model_store._LANES  # bytes in one word per lane
 
@@ -66,6 +67,62 @@ class TestCrc64MatchesOracle:
     def test_catalog_value_chained_at_any_split(self, cut):
         check = b"123456789"
         assert crc64(check[cut:], state=crc64(check[:cut])) == 0x995DC9BBDF1939FA
+
+
+BLOCK_DEVIATES = 2 * projection._BLOCK_PAIRS  # deviates the generator makes per block
+
+
+def _assert_matches_oracle(seed, j, m, level, step):
+    got = generate_projection(ProjectionSpec(master_seed=seed, j=j, m=m), level, step)
+    expected = projection_reference(seed, j, m, level, step)
+    assert got.shape == (j, m)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestProjectionMatchesOracle:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        j=st.integers(1, 40),
+        m=st.integers(1, 40),
+        level=st.integers(0, 2**20),
+        step=st.integers(0, 2**32 - 1),
+    )
+    def test_small_shapes_any_slot(self, seed, j, m, level, step):
+        _assert_matches_oracle(seed, j, m, level, step)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            BLOCK_DEVIATES - 1,  # below one block, odd: the surplus deviate is dropped
+            BLOCK_DEVIATES,  # exactly one block
+            BLOCK_DEVIATES + 1,  # one deviate past, odd
+            BLOCK_DEVIATES + 2,  # one pair past
+            3 * BLOCK_DEVIATES + 5,
+        ],
+    )
+    def test_block_boundaries(self, count):
+        _assert_matches_oracle(2**64 - 1, 1, count, 3, 7)
+
+    @pytest.mark.parametrize("seed, level, step", [(0, 0, 0), (42, 7, 49), (2**63 + 5, 1, 2)])
+    def test_mnist_shape(self, seed, level, step):
+        _assert_matches_oracle(seed, 784, 784, level, step)
+
+
+# ±0, the smallest subnormals, a subnormal and the smallest normal, ±max, ±inf.
+_signed_extremes = [
+    0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+]
+
+
+class TestSignOfTanh:
+    @given(z=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    @example(z=_signed_extremes)
+    def test_sign_of_tanh_is_sign_bitwise(self, z):
+        z = np.array(z)
+        from_tanh = activate(activate(z.copy(), Activation.TANH), Activation.SIGN)
+        direct = activate(z, Activation.SIGN)
+        assert np.array_equal(from_tanh.view(np.uint64), direct.view(np.uint64))
 
 
 hyper_params = st.builds(
