@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -90,14 +91,13 @@ class BoostedModel:
 
 @dataclass
 class TrainReport:
-    """Training residual norm after every (level, step), plus optional held-out accuracy.
+    """Training residual norm after every (level, step).
 
     The flattened residual_norms sequence is non-increasing (up to rounding):
     each ridge step can only shrink the training residual.
     """
 
     residual_norms: np.ndarray  # levels x t_steps
-    level_accuracy: list[float] | None = None
 
 
 def _steps(spec: ProjectionSpec, hyper: HyperParams) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -111,7 +111,6 @@ def train(
     data: Dataset,
     targets: np.ndarray,
     hyper: HyperParams,
-    eval_set: Dataset | None = None,
 ) -> tuple[BoostedModel, TrainReport]:
     """Fit the boosted ridge ensemble.
 
@@ -130,10 +129,6 @@ def train(
         N x K one-hot target matrix.
     hyper : HyperParams
         Training configuration.
-    eval_set : Dataset, optional
-        Held-out samples and labels; when given, the report records the
-        partial-prediction accuracy after each level, scored by
-        iter_level_scores on the finished model.
 
     Returns
     -------
@@ -145,10 +140,6 @@ def train(
         raise ValueError(
             f"targets must be 2-D with one row per sample: samples {x.shape}, "
             f"targets {targets.shape}"
-        )
-    if eval_set is not None and eval_set.x.shape[1] != x.shape[1]:
-        raise ValueError(
-            f"eval set width {eval_set.x.shape[1]} differs from training width {x.shape[1]}"
         )
     k = targets.shape[1]
     spec = ProjectionSpec(master_seed=hyper.master_seed, j=hyper.hidden, m=x.shape[1])
@@ -178,40 +169,36 @@ def train(
             log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
-    level_accuracy = None
-    if eval_set is not None:
-        level_accuracy = []
-        for lv, scores in iter_level_scores(model, eval_set.x):
-            level_accuracy.append(accuracy(classify(scores), eval_set.labels))
-            log.info("level %d/%d: eval accuracy %.4f", lv, hyper.levels, level_accuracy[-1])
-    return model, TrainReport(residual_norms=residual_norms, level_accuracy=level_accuracy)
+    return model, TrainReport(residual_norms=residual_norms)
 
 
-def _checked_samples(x_new, models: list[BoostedModel]) -> np.ndarray:
-    """x_new as a C-contiguous float64 matrix that every given model can score."""
-    x = np.ascontiguousarray(x_new, dtype=np.float64)
-    for model in models:
+def _job_list(model, x_new) -> list:
+    """The call's (model, samples) jobs: the one given pair, or the given job list."""
+    if isinstance(model, BoostedModel):
+        return [(model, x_new)]
+    if x_new is not None:
+        raise TypeError("pass a model and its samples, or one list of (model, samples) jobs")
+    return list(model)
+
+
+def _checked_jobs(jobs: list) -> list[tuple[BoostedModel, np.ndarray]]:
+    """Jobs with each distinct input a C-contiguous float64 matrix, converted and checked once."""
+    # the job list keeps every input alive, so distinct inputs have distinct ids
+    inputs = {id(x): np.ascontiguousarray(x, dtype=np.float64) for _, x in jobs}
+    for model, x_new in jobs:
+        x = inputs[id(x_new)]
         if x.ndim != 2 or x.shape[1] != model.input_width:
             raise ValueError(
                 f"input width mismatch: samples are {x.shape}, "
                 f"model expects {model.input_width} columns"
             )
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"samples contain non-finite values (first at row {np.argmin(finite)})")
-    return x
-
-
-def _scoring_jobs(model, x_new) -> list[tuple[BoostedModel, np.ndarray]]:
-    """(model, checked input) pairs: one per model, or one per input."""
-    if isinstance(model, BoostedModel):
-        inputs = x_new if isinstance(x_new, list) else [x_new]
-        return [(model, _checked_samples(x, [model])) for x in inputs]
-    if isinstance(x_new, list):
-        raise ValueError("score a list of models or a list of inputs, not both")
-    models = list(model)
-    x = _checked_samples(x_new, models)
-    return [(m, x) for m in models]
+    for x in inputs.values():
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"samples contain non-finite values (first at row {np.argmin(finite)})"
+            )
+    return [(model, inputs[id(x)]) for model, x in jobs]
 
 
 def _encodings(
@@ -253,7 +240,7 @@ def _group_walk(jobs, members: list[int]) -> Iterator[list[tuple[int, int, np.nd
             yield [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in members]
 
 
-def iter_level_scores(model, x_new) -> Iterator[tuple]:
+def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     """Yield (level, cumulative scores through that level) for each level.
 
     Scores accumulate in (level, step) order with the projections regenerated
@@ -261,15 +248,15 @@ def iter_level_scores(model, x_new) -> Iterator[tuple]:
     predict_scores; intermediate items feed accuracy-versus-level curves.
     Samples must be finite: a NaN or infinite entry raises ValueError.
 
-    Either argument may instead be a list: several models scoring x_new, or
-    several inputs scored by model.  Then each item is (index, level,
-    scores), index pointing into that list, and one pass scores them all:
-    models that share seed, widths, levels and steps generate each projection
-    once, and share one X·Rᵀ per step.  Every score is bitwise the one a
-    separate call gives, and every item of level lv comes before level lv + 1.
+    Given one explicit job list [(model, x), ...] instead, each item is
+    (job index, level, scores) and one pass scores every job: models that
+    share seed, widths, levels and steps generate each projection once, and
+    jobs that pass the same input object share one X·Rᵀ per step.  Every
+    score is bitwise the one a separate call gives, and every item of level
+    lv comes before level lv + 1.
     """
-    single = isinstance(model, BoostedModel) and not isinstance(x_new, list)
-    jobs = _scoring_jobs(model, x_new)
+    single = isinstance(model, BoostedModel)
+    jobs = _checked_jobs(_job_list(model, x_new))
     groups: dict[tuple, list[int]] = {}
     for i, (job_model, _) in enumerate(jobs):
         hyper = job_model.hyper
@@ -281,26 +268,26 @@ def iter_level_scores(model, x_new) -> Iterator[tuple]:
             yield (lv, scores) if single else (i, lv, scores)
 
 
-def predict_scores(model, x_new, up_to_level: int | None = None):
+def predict_scores(model, x_new=None, up_to_level: int | None = None):
     """N' x K score matrix for new samples, already normalized like the training data.
 
     Sums alpha-discounted encoding-times-weights terms over all steps of
-    levels 0..up_to_level (default: every level).  With a list of models or
-    of inputs, as iter_level_scores takes them, returns a list of score
-    matrices, one per item, from one pass.
+    levels 0..up_to_level (default: every level).  Given a job list
+    [(model, x), ...], as iter_level_scores takes it, returns one score
+    matrix per job from one pass.
     """
-    if isinstance(model, BoostedModel) and not isinstance(x_new, list):
-        return predict_scores(model, [x_new], up_to_level)[0]
-    one_model = isinstance(model, BoostedModel)
-    models = [model] * len(x_new) if one_model else list(model)
+    if isinstance(model, BoostedModel):
+        return predict_scores([(model, x_new)], up_to_level=up_to_level)[0]
+    jobs = _job_list(model, x_new)
     last = []
-    for m in models:
-        lv = m.hyper.levels - 1 if up_to_level is None else up_to_level
-        if not 0 <= lv < m.hyper.levels:
-            raise ValueError(f"up_to_level {up_to_level} out of range for {m.hyper.levels} levels")
+    for job_model, _ in jobs:
+        levels = job_model.hyper.levels
+        lv = levels - 1 if up_to_level is None else operator.index(up_to_level)
+        if not 0 <= lv < levels:
+            raise ValueError(f"up_to_level {up_to_level} out of range for {levels} levels")
         last.append(lv)
     final: dict[int, np.ndarray] = {}
-    for i, lv, scores in iter_level_scores(model if one_model else models, x_new):
+    for i, lv, scores in iter_level_scores(jobs):
         if lv == last[i]:
             final[i] = scores
             if len(final) == len(last):

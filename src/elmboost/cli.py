@@ -95,7 +95,10 @@ def find_idx_file(dataset_dir, dataset: str, kind: str) -> Path:
 
 
 def _load_split(args, split: str) -> RawDataset:
-    images = load_idx_images(find_idx_file(args.dataset_dir, args.dataset, f"{split}_images"))
+    images_path = find_idx_file(args.dataset_dir, args.dataset, f"{split}_images")
+    images = load_idx_images(images_path)
+    if images.shape[0] == 0:
+        raise IdxError(f"{images_path}: the {split} split has no images")
     labels = load_idx_labels(find_idx_file(args.dataset_dir, args.dataset, f"{split}_labels"))
     if images.shape[0] != labels.shape[0]:
         raise IdxError(
@@ -185,7 +188,7 @@ def cmd_curve(args) -> int:
     else:
         columns = ["accuracy"]
     curves = [[] for _ in models]
-    for i, lv, scores in iter_level_scores(models, data.x):
+    for i, lv, scores in iter_level_scores([(m, data.x) for m in models]):
         curves[i].append(accuracy(classify(scores), data.labels))
         log.info("%s level %d: %.4f", columns[i], lv, curves[i][-1])
     rows = [(lv, *(curve[lv] for curve in curves)) for lv in range(models[0].hyper.levels)]
@@ -202,7 +205,7 @@ def cmd_noise(args) -> int:
     # Every fraction's input is held at once so that one pass scores them all.
     inputs = [normalize(zero_pixel_noise(raw, f, args.seed)) for f in args.noise_fraction]
     _check_model_matches(model, inputs[0])
-    scores = predict_scores(model, [data.x for data in inputs])
+    scores = predict_scores([(model, data.x) for data in inputs])
     rows = []
     for fraction, data, fraction_scores in zip(args.noise_fraction, inputs, scores):
         eta = accuracy(classify(fraction_scores), data.labels)

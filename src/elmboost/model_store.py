@@ -198,7 +198,7 @@ def save(model: BoostedModel, path) -> None:
 
 
 def load(path) -> BoostedModel:
-    """Read a model file back; verifies layout and checksum before trusting it."""
+    """Read a model file back; verifies layout, checksum and finite weights before trusting it."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) >= 4 and blob[:4] != MAGIC:
@@ -267,6 +267,8 @@ def load(path) -> BoostedModel:
         .reshape(levels, t_steps, hidden, num_classes)
         .astype(np.float64)
     )
+    if not np.isfinite(weights).all():
+        raise ModelFormatError(f"{path}: weight grid holds non-finite values")
     return BoostedModel(
         hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
     )

@@ -100,21 +100,6 @@ class TestTrain:
         fit = y - replay
         assert np.abs(scores - fit).max() <= 1e-9 * max(np.abs(fit).max(), 1.0)
 
-    def test_eval_accuracy_matches_level_iterator(self):
-        rng = np.random.default_rng(3)
-        data = make_dataset(rng, 90, 10, 3)
-        held = make_dataset(rng, 40, 10, 3)
-        y = one_hot_encode(data.labels, 3)
-        hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=4, hidden=8, master_seed=9)
-        model, report = train(data, y, hyper, eval_set=held)
-        assert report.level_accuracy is not None
-        assert len(report.level_accuracy) == 4
-        recomputed = [
-            accuracy(classify(scores), held.labels)
-            for _, scores in iter_level_scores(model, held.x)
-        ]
-        assert recomputed == report.level_accuracy
-
     def test_permuting_rows_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
         data = make_dataset(rng, 60, 8, 3)
@@ -145,14 +130,6 @@ class TestTrain:
         data = make_dataset(rng, 20, 5, 2)
         with pytest.raises(ValueError):
             train(data, np.zeros((19, 2)), HyperParams(t_steps=1, levels=1, hidden=4))
-
-    def test_eval_width_mismatch(self):
-        rng = np.random.default_rng(7)
-        data = make_dataset(rng, 20, 5, 2)
-        other = make_dataset(rng, 10, 6, 2)
-        y = one_hot_encode(data.labels, 2)
-        with pytest.raises(ValueError, match="eval set width"):
-            train(data, y, HyperParams(t_steps=1, levels=1, hidden=4), eval_set=other)
 
     def test_cholesky_failure_carries_level_and_step(self):
         # all-zero samples give a zero Gram matrix, unsolvable at lambda = 0
@@ -239,6 +216,17 @@ class TestPredict:
         for lv in range(3):
             assert np.array_equal(predict_scores(model, x_new, up_to_level=lv), by_iter[lv])
 
+    def test_nested_list_input_matches_array(self):
+        rng = np.random.default_rng(13)
+        model = _random_model(rng, Activation.TANH, levels=3)
+        x = normalized_rows(rng, 12, 16)
+        final = predict_scores(model, x)
+        assert np.array_equal(_bits(predict_scores(model, x.tolist())), _bits(final))
+        for (lv_list, got), (lv, expected) in zip(
+            iter_level_scores(model, x.tolist()), iter_level_scores(model, x), strict=True
+        ):
+            assert lv_list == lv and np.array_equal(_bits(got), _bits(expected))
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(9)
         data = make_dataset(rng, 30, 6, 2)
@@ -260,6 +248,8 @@ class TestPredict:
             predict_scores(model, data.x, up_to_level=2)
         with pytest.raises(ValueError):
             predict_scores(model, data.x, up_to_level=-1)
+        with pytest.raises((TypeError, ValueError)):
+            predict_scores(model, data.x, up_to_level=0.5)
 
 
 def _random_model(rng, activation, seed=3, levels=2, t_steps=2, hidden=9, m=16, k=3):
@@ -308,9 +298,10 @@ class TestOnePassScoring:
         rng = np.random.default_rng(20)
         models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
         x = normalized_rows(rng, 30, 16)
-        items = list(iter_level_scores(models, x))
+        jobs = [(m, x) for m in models]
+        items = list(iter_level_scores(jobs))
         assert calls == {"generate": 4, "encode": 4}  # one of each per (level, step)
-        self.assert_matches_separate([(m, x) for m in models], items)
+        self.assert_matches_separate(jobs, items)
 
     def test_different_seeds_walk_two_groups(self, calls):
         rng = np.random.default_rng(21)
@@ -319,9 +310,10 @@ class TestOnePassScoring:
             _random_model(rng, Activation.SIGN, seed=4),
         ]
         x = normalized_rows(rng, 30, 16)
-        items = list(iter_level_scores(models, x))
+        jobs = [(m, x) for m in models]
+        items = list(iter_level_scores(jobs))
         assert calls == {"generate": 8, "encode": 8}
-        self.assert_matches_separate([(m, x) for m in models], items)
+        self.assert_matches_separate(jobs, items)
 
     def test_models_differing_in_levels_or_steps(self):
         rng = np.random.default_rng(22)
@@ -331,8 +323,9 @@ class TestOnePassScoring:
             _random_model(rng, Activation.TANH, levels=3, t_steps=3),
         ]
         x = normalized_rows(rng, 30, 16)
-        items = list(iter_level_scores(models, x))
-        self.assert_matches_separate([(m, x) for m in models], items)
+        jobs = [(m, x) for m in models]
+        items = list(iter_level_scores(jobs))
+        self.assert_matches_separate(jobs, items)
         levels = [lv for _, lv, _ in items]
         assert levels == sorted(levels)  # every job's level lv before any level lv + 1
 
@@ -342,21 +335,31 @@ class TestOnePassScoring:
         raw = RawDataset(images=images, labels=labels, num_classes=3)
         inputs = [normalize(zero_pixel_noise(raw, f, 5)).x for f in (0.0, 0.25, 0.5)]
         model = _random_model(rng, Activation.TANH, levels=3)
-        items = list(iter_level_scores(model, inputs))
+        jobs = [(model, x) for x in inputs]
+        items = list(iter_level_scores(jobs))
         assert calls == {"generate": 6, "encode": 18}
-        self.assert_matches_separate([(model, x) for x in inputs], items)
+        self.assert_matches_separate(jobs, items)
+
+    def test_shared_nested_list_is_converted_once(self, calls):
+        rng = np.random.default_rng(26)
+        models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
+        x = normalized_rows(rng, 30, 16)
+        shared = x.tolist()
+        items = list(iter_level_scores([(m, shared) for m in models]))
+        assert calls == {"generate": 4, "encode": 4}  # both jobs share one X·Rᵀ per step
+        self.assert_matches_separate([(m, x) for m in models], items)
 
     @pytest.mark.parametrize("up_to_level", [None, 0, 1])
     def test_predict_scores_lists(self, up_to_level):
         rng = np.random.default_rng(24)
         models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
         inputs = [normalized_rows(rng, 20, 16) for _ in range(3)]
-        for got, model in zip(predict_scores(models, inputs[0], up_to_level), models):
-            expected = predict_scores(model, inputs[0], up_to_level)
-            assert np.array_equal(_bits(got), _bits(expected))
-        for got, x in zip(predict_scores(models[0], inputs, up_to_level), inputs):
-            expected = predict_scores(models[0], x, up_to_level)
-            assert np.array_equal(_bits(got), _bits(expected))
+        jobs = [(m, inputs[0]) for m in models] + [(models[0], x) for x in inputs]
+        got = predict_scores(jobs, up_to_level=up_to_level)
+        assert len(got) == len(jobs)
+        for scores, (model, x) in zip(got, jobs):
+            expected = predict_scores(model, x, up_to_level=up_to_level)
+            assert np.array_equal(_bits(scores), _bits(expected))
 
     def test_each_input_is_checked(self):
         rng = np.random.default_rng(25)
@@ -365,15 +368,19 @@ class TestOnePassScoring:
         bad = good.copy()
         bad[2, 3] = np.nan
         with pytest.raises(ValueError, match="row 2"):
-            predict_scores(model, [good, bad])
+            predict_scores([(model, good), (model, bad)])
+        narrow = _random_model(rng, Activation.SIGN, m=15)
         with pytest.raises(ValueError, match="width mismatch"):
-            predict_scores([model, _random_model(rng, Activation.SIGN, m=15)], good)
+            predict_scores([(model, good), (narrow, good)])
 
-    def test_lists_of_both_rejected(self):
-        rng = np.random.default_rng(26)
+    def test_job_list_takes_no_separate_input(self):
+        rng = np.random.default_rng(27)
         model = _random_model(rng, Activation.TANH)
-        with pytest.raises(ValueError, match="not both"):
-            predict_scores([model], [normalized_rows(rng, 5, 16)])
+        x = normalized_rows(rng, 5, 16)
+        with pytest.raises(TypeError):
+            predict_scores([model], x)
+        with pytest.raises(TypeError):
+            next(iter_level_scores([(model, x)], x))
 
 
 class TestClassify:
@@ -427,7 +434,7 @@ def test_desk_scale_digits_accuracy():
     tr = normalize(RawDataset(images=images[:1200], labels=labels[:1200], num_classes=10))
     te = normalize(RawDataset(images=images[1200:], labels=labels[1200:], num_classes=10))
     hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=10, levels=4, hidden=64, master_seed=0)
-    _, report = train(tr, one_hot_encode(tr.labels, 10), hyper, eval_set=te)
-    assert report.level_accuracy is not None
-    assert report.level_accuracy[-1] >= 0.9
-    assert report.level_accuracy[-1] > report.level_accuracy[0] - 0.01
+    model, _ = train(tr, one_hot_encode(tr.labels, 10), hyper)
+    eta = [accuracy(classify(scores), te.labels) for _, scores in iter_level_scores(model, te.x)]
+    assert eta[-1] >= 0.9
+    assert eta[-1] > eta[0] - 0.01

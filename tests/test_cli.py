@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment CLI on small synthetic IDX datasets."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from elmboost import linalg
 from elmboost.cli import main
 from elmboost.dataset import write_idx_images, write_idx_labels
+from elmboost.model_store import crc64
 
 from helpers import separable_images
 
@@ -199,6 +201,22 @@ class TestCurveCommand:
         ])
         assert code == 2
 
+    def test_nan_weight_model_exits_2(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        model_path = tmp_path / "model.elmb"
+        blob = bytearray(model_path.read_bytes())
+        blob[-16:-8] = struct.pack("<d", float("nan"))
+        blob[-8:] = struct.pack("<Q", crc64(bytes(blob[:-8])))
+        model_path.write_bytes(bytes(blob))
+        out = tmp_path / "c.csv"
+        code = main([
+            "curve", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(model_path), "--out", str(out),
+        ])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNoiseCommand:
     def test_fraction_zero_matches_curve_tail(self, data_dir, tmp_path):
@@ -315,3 +333,46 @@ class TestUsage:
     def test_mismatched_split_files_exit_2(self, data_dir, tmp_path):
         write_idx_labels(np.zeros(7, dtype=np.int64), data_dir / "mnist" / "train-labels-idx1-ubyte.gz")
         assert main(train_args(data_dir, tmp_path)) == 2
+
+
+def _empty_split(data_dir, split):
+    """Rewrite one split of the fixture as IDX files that hold no rows."""
+    stem = {"train": "train", "test": "t10k"}[split]
+    suffix = ".gz" if split == "train" else ""
+    mnist = data_dir / "mnist"
+    images = mnist / f"{stem}-images-idx3-ubyte{suffix}"
+    write_idx_images(np.zeros((0, 16), dtype=np.uint8), images, grid=(4, 4))
+    write_idx_labels(np.zeros(0, dtype=np.int64), mnist / f"{stem}-labels-idx1-ubyte{suffix}")
+
+
+class TestEmptySplit:
+    def test_train_exits_2(self, data_dir, tmp_path, capsys):
+        _empty_split(data_dir, "train")
+        assert main(train_args(data_dir, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "train-images-idx3-ubyte" in err and "Traceback" not in err
+        assert not (tmp_path / "model.elmb").exists()
+
+    def test_curve_exits_2(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        _empty_split(data_dir, "test")
+        capsys.readouterr()
+        code = main([
+            "curve", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "t10k-images-idx3-ubyte" in err and "Traceback" not in err
+
+    def test_noise_exits_2(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        _empty_split(data_dir, "test")
+        capsys.readouterr()
+        code = main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--out", str(tmp_path / "n.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "t10k-images-idx3-ubyte" in err and "Traceback" not in err

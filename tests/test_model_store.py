@@ -211,3 +211,18 @@ class TestFormatErrors:
         rewrite(path, poison_lambda)
         with pytest.raises(ModelFormatError, match="lam"):
             load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight(self, small_model, tmp_path, bad):
+        model, _ = small_model
+        path = tmp_path / "m.elmb"
+        save(model, path)
+
+        def poison_weight(blob):
+            offset = len(blob) - 8 - 8  # the last weight, just before the checksum
+            blob[offset : offset + 8] = struct.pack("<d", bad)
+            refresh_crc(blob)
+
+        rewrite(path, poison_weight)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load(path)
