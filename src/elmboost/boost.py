@@ -9,12 +9,14 @@ projection matrix, and held-out accuracy is reported once per level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,7 +33,9 @@ class HyperParams:
 
     alpha is the discount applied to every fitted term; 1.0 is admitted so
     a (levels=1, t_steps=1, alpha=1) model reduces to a plain single-solve
-    ELM.  hidden is the width J of every random encoding.
+    ELM.  hidden is the width J of every random encoding.  levels, t_steps
+    and hidden must be integers in [1, 2**32) and master_seed an integer in
+    [0, 2**64): the model file stores them as u32 and u64 fields.
     """
 
     lam: float = 1.0
@@ -47,16 +51,17 @@ class HyperParams:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.t_steps < 1:
-            raise ValueError(f"t_steps must be >= 1, got {self.t_steps}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        fields = (("t_steps", 1, 32), ("levels", 1, 32), ("hidden", 1, 32), ("master_seed", 0, 64))
+        for name, low, bits in fields:
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if not low <= value < 2**bits:
+                raise ValueError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
         if not isinstance(self.activation, Activation):
             raise ValueError(f"activation must be an Activation, got {self.activation!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass
@@ -100,11 +105,9 @@ class TrainReport:
     residual_norms: np.ndarray  # levels x t_steps
 
 
-def _steps(spec: ProjectionSpec, hyper: HyperParams) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(level, step, projection) for every step of the flat sequence, in order."""
-    for lv in range(hyper.levels):
-        for t in range(hyper.t_steps):
-            yield lv, t, generate_projection(spec, lv, t)
+def _slots(hyper: HyperParams) -> Iterator[tuple[int, int]]:
+    """(level, step) of every step of the flat sequence, in order."""
+    return itertools.product(range(hyper.levels), range(hyper.t_steps))
 
 
 def train(
@@ -147,8 +150,8 @@ def train(
     residual = targets.copy()
     residual_norms = np.zeros((hyper.levels, hyper.t_steps))
     weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, k))
-    for lv, t, r in _steps(spec, hyper):
-        h = encode(x, r, hyper.activation)
+    for lv, t in _slots(hyper):
+        h = encode(x, generate_projection(spec, lv, t), hyper.activation)
         try:
             w = linalg.ridge_solve(h, residual, hyper.lam)
         except linalg.NotPositiveDefiniteError as exc:
@@ -215,28 +218,61 @@ def _encodings(
     return hidden
 
 
-def _group_walk(jobs, members: list[int]) -> Iterator[list[tuple[int, int, np.ndarray]]]:
+def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tuple[int, int]):
+    """{job: hidden·W} of one (level, step) slot for jobs sharing its projection.
+
+    Generates the slot's projection once and encodes each distinct input
+    once; jobs scoring the same input share its encoding.
+    """
+    lv, t = slot
+    r = generate_projection(spec, lv, t)
+    terms = {}
+    for sharing in by_input:
+        activations = {jobs[i][0].hyper.activation for i in sharing}
+        hidden = _encodings(jobs[sharing[0]][1], r, activations)
+        for i in sharing:
+            model = jobs[i][0]
+            terms[i] = hidden[model.hyper.activation] @ model.weights[lv, t]
+        del hidden  # one input's encodings alive at a time
+    return terms
+
+
+def _in_pairs(pool: ThreadPoolExecutor, work: Callable, slots: Iterator) -> Iterator[tuple]:
+    """(slot, work(slot)) for every slot, in order.
+
+    Slots go in pairs: the pool's worker computes the second of each pair
+    while this thread computes the first.  An error surfaces in slot order;
+    a consumer that stops early leaves at most one slot in flight.
+    """
+    slots = iter(slots)
+    for here, ahead in itertools.zip_longest(slots, slots):
+        future = None if ahead is None else pool.submit(work, ahead)
+        yield here, work(here)
+        if future is not None:
+            yield ahead, future.result()
+
+
+def _group_walk(
+    jobs, members: list[int], pool: ThreadPoolExecutor
+) -> Iterator[list[tuple[int, int, np.ndarray]]]:
     """Per level, [(job, level, scores)] for jobs whose models share every projection.
 
     The members' models agree on seed, widths, levels and steps, so one walk
-    over _steps serves them all; members scoring the same input share its
-    encoding at every step.
+    over _slots serves them all.  Each slot's terms are a pure function of
+    the slot, so two slots can be computed at once (_in_pairs); this thread
+    adds them to the scores in slot order, which fixes every bit.
     """
     first = jobs[members[0]][0]
+    spec, hyper = first.projection_spec(), first.hyper
     by_input: dict[int, list[int]] = {}
     for i in members:
         by_input.setdefault(id(jobs[i][1]), []).append(i)
+    work = functools.partial(_slot_terms, jobs, list(by_input.values()), spec)
     scores: dict[int, np.ndarray] = {}
-    for lv, t, r in _steps(first.projection_spec(), first.hyper):
-        for sharing in by_input.values():
-            activations = {jobs[i][0].hyper.activation for i in sharing}
-            hidden = _encodings(jobs[sharing[0]][1], r, activations)
-            for i in sharing:
-                model = jobs[i][0]
-                term = hidden[model.hyper.activation] @ model.weights[lv, t]
-                scores[i] = term if i not in scores else scores[i] + term
-            del hidden  # one input's encodings alive at a time
-        if t == first.hyper.t_steps - 1:
+    for (lv, t), terms in _in_pairs(pool, work, _slots(hyper)):
+        for i, term in terms.items():
+            scores[i] = term if i not in scores else scores[i] + term
+        if t == hyper.t_steps - 1:
             yield [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in members]
 
 
@@ -254,6 +290,10 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     jobs that pass the same input object share one X·Rᵀ per step.  Every
     score is bitwise the one a separate call gives, and every item of level
     lv comes before level lv + 1.
+
+    The call runs one worker thread, which computes every other (level,
+    step) slot while the calling thread computes the slot before it.  The
+    worker is joined when the generator finishes, raises or is closed.
     """
     single = isinstance(model, BoostedModel)
     jobs = _checked_jobs(_job_list(model, x_new))
@@ -262,10 +302,15 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
         hyper = job_model.hyper
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
         groups.setdefault(key, []).append(i)
-    walks = [_group_walk(jobs, members) for members in groups.values()]
-    for level in itertools.zip_longest(*walks, fillvalue=()):
-        for i, lv, scores in itertools.chain.from_iterable(level):
-            yield (lv, scores) if single else (i, lv, scores)
+    # One worker for every group: two slots at most are computed at once.
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        walks = [_group_walk(jobs, members, pool) for members in groups.values()]
+        for level in itertools.zip_longest(*walks, fillvalue=()):
+            for i, lv, scores in itertools.chain.from_iterable(level):
+                yield (lv, scores) if single else (i, lv, scores)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def predict_scores(model, x_new=None, up_to_level: int | None = None):
@@ -291,7 +336,7 @@ def predict_scores(model, x_new=None, up_to_level: int | None = None):
         if lv == last[i]:
             final[i] = scores
             if len(final) == len(last):
-                break  # later levels are not needed
+                break  # later levels are not needed; closing the walk joins its worker
     return [final[i] for i in range(len(last))]
 
 

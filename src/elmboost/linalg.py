@@ -4,12 +4,15 @@ Everything operates on 2-D float64 numpy arrays.  Products are plain numpy
 ``@`` and the Cholesky factorization is LAPACK through scipy; these
 functions add shape validation and the positive-definiteness error contract
 the ridge solver relies on.
+
+scipy's LAPACK module is imported by the first ``cholesky_solve`` call, not
+with the package: it adds about 28 MB of resident memory, which processes
+that only score or load models (``curve``, ``noise``, ``load``) never need.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -45,6 +48,8 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"cholesky_solve needs a square matrix, got {a.shape}")
     if b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"cholesky_solve shape mismatch: {a.shape} vs {b.shape}")
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     c, info = dpotrf(a, lower=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)

@@ -120,6 +120,28 @@ def projection_reference(master_seed: int, j: int, m: int, level: int, step: int
     return normals_reference(seed, j * m).reshape(j, m)
 
 
+def level_scores_reference(model, x):
+    """[(level, scores)] of one model on samples x, summed serially in the documented order.
+
+    Every (level, step) slot contributes act(x·Rᵀ)·W with R from
+    projection_reference; terms are added to one running sum in (level, step)
+    order, and each level reports alpha times the sum through its last step.
+    """
+    hyper = model.hyper
+    x = np.asarray(x, dtype=np.float64)
+    total = None
+    out = []
+    for lv in range(hyper.levels):
+        for t in range(hyper.t_steps):
+            r = projection_reference(hyper.master_seed, hyper.hidden, model.input_width, lv, t)
+            z = x @ r.T
+            hidden = np.tanh(z) if hyper.activation.value == "tanh" else np.where(z >= 0.0, 1.0, -1.0)
+            term = hidden @ model.weights[lv, t]
+            total = term if total is None else total + term
+        out.append((lv, hyper.alpha * total))
+    return out
+
+
 def naive_matmul(a, b):
     """Triple-loop reference product, independent of BLAS."""
     n, inner = a.shape

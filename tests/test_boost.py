@@ -1,5 +1,11 @@
 """Tests for boosted training, prediction, and classification."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +24,7 @@ from elmboost.dataset import Dataset, RawDataset, normalize, one_hot_encode, zer
 from elmboost.linalg import NotPositiveDefiniteError, ridge_solve
 from elmboost.projection import Activation, ProjectionSpec, encode, generate_projection
 
-from helpers import make_dataset, normalized_rows, separable_images
+from helpers import level_scores_reference, make_dataset, normalized_rows, separable_images
 
 
 class TestHyperParams:
@@ -48,6 +54,27 @@ class TestHyperParams:
     def test_other_bounds(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["levels", "t_steps", "hidden"])
+    @pytest.mark.parametrize("value", [2**32, 2.5, 3.0, "3"])
+    def test_sizes_must_fit_the_model_header(self, name, value):
+        # each size is an unsigned 32-bit field of the .elmb header
+        with pytest.raises(ValueError, match=name):
+            HyperParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [2**64, -1, 2.5, 7.0])
+    def test_master_seed_must_fit_the_model_header(self, value):
+        with pytest.raises(ValueError, match="master_seed"):
+            HyperParams(master_seed=value)
+
+    @pytest.mark.parametrize(
+        "name, largest",
+        [("levels", 2**32 - 1), ("t_steps", 2**32 - 1), ("hidden", 2**32 - 1),
+         ("master_seed", 2**64 - 1)],
+    )
+    def test_largest_storable_value_admitted(self, name, largest):
+        assert getattr(HyperParams(**{name: largest}), name) == largest
+        assert getattr(HyperParams(**{name: np.int64(3)}), name) == 3
 
 
 class TestTrain:
@@ -267,12 +294,18 @@ def _bits(a):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of projection generations and encode GEMMs made through boost."""
+    """Counts of projection generations and encode GEMMs made through boost.
+
+    The scorer calls both from two threads, so the counts are updated under
+    a lock.
+    """
     counts = {"generate": 0, "encode": 0}
+    lock = threading.Lock()
 
     def counting(name, original):
         def wrapper(*args):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return original(*args)
         return wrapper
 
@@ -281,18 +314,18 @@ def calls(monkeypatch):
     return counts
 
 
-class TestOnePassScoring:
-    """Scoring many jobs in one pass gives every job the bits of a separate run."""
+def assert_matches_reference(jobs, items):
+    """items from one pass equal, per job and level, the serial reference sum."""
+    for i, (model, x) in enumerate(jobs):
+        expected = level_scores_reference(model, x)
+        mine = [(lv, scores) for j, lv, scores in items if j == i]
+        assert [lv for lv, _ in mine] == [lv for lv, _ in expected]
+        for (_, got), (_, want) in zip(mine, expected):
+            assert np.array_equal(_bits(got), _bits(want))
 
-    @staticmethod
-    def assert_matches_separate(jobs, items):
-        """items from one pass equal, per job and level, a separate iter_level_scores run."""
-        for i, (model, x) in enumerate(jobs):
-            separate = list(iter_level_scores(model, x))
-            mine = [(lv, scores) for j, lv, scores in items if j == i]
-            assert [lv for lv, _ in mine] == [lv for lv, _ in separate]
-            for (_, got), (_, expected) in zip(mine, separate):
-                assert np.array_equal(_bits(got), _bits(expected))
+
+class TestOnePassScoring:
+    """Scoring many jobs in one pass gives every job the bits of the serial sum."""
 
     def test_tanh_sign_pair_shares_projections_and_gemm(self, calls):
         rng = np.random.default_rng(20)
@@ -301,7 +334,7 @@ class TestOnePassScoring:
         jobs = [(m, x) for m in models]
         items = list(iter_level_scores(jobs))
         assert calls == {"generate": 4, "encode": 4}  # one of each per (level, step)
-        self.assert_matches_separate(jobs, items)
+        assert_matches_reference(jobs, items)
 
     def test_different_seeds_walk_two_groups(self, calls):
         rng = np.random.default_rng(21)
@@ -313,7 +346,7 @@ class TestOnePassScoring:
         jobs = [(m, x) for m in models]
         items = list(iter_level_scores(jobs))
         assert calls == {"generate": 8, "encode": 8}
-        self.assert_matches_separate(jobs, items)
+        assert_matches_reference(jobs, items)
 
     def test_models_differing_in_levels_or_steps(self):
         rng = np.random.default_rng(22)
@@ -325,7 +358,7 @@ class TestOnePassScoring:
         x = normalized_rows(rng, 30, 16)
         jobs = [(m, x) for m in models]
         items = list(iter_level_scores(jobs))
-        self.assert_matches_separate(jobs, items)
+        assert_matches_reference(jobs, items)
         levels = [lv for _, lv, _ in items]
         assert levels == sorted(levels)  # every job's level lv before any level lv + 1
 
@@ -338,7 +371,7 @@ class TestOnePassScoring:
         jobs = [(model, x) for x in inputs]
         items = list(iter_level_scores(jobs))
         assert calls == {"generate": 6, "encode": 18}
-        self.assert_matches_separate(jobs, items)
+        assert_matches_reference(jobs, items)
 
     def test_shared_nested_list_is_converted_once(self, calls):
         rng = np.random.default_rng(26)
@@ -347,7 +380,7 @@ class TestOnePassScoring:
         shared = x.tolist()
         items = list(iter_level_scores([(m, shared) for m in models]))
         assert calls == {"generate": 4, "encode": 4}  # both jobs share one X·Rᵀ per step
-        self.assert_matches_separate([(m, x) for m in models], items)
+        assert_matches_reference([(m, x) for m in models], items)
 
     @pytest.mark.parametrize("up_to_level", [None, 0, 1])
     def test_predict_scores_lists(self, up_to_level):
@@ -381,6 +414,121 @@ class TestOnePassScoring:
             predict_scores([model], x)
         with pytest.raises(TypeError):
             next(iter_level_scores([(model, x)], x))
+
+
+class TestConcurrentWalk:
+    """The scorer computes two slots at once and still sums them in slot order."""
+
+    @pytest.mark.parametrize("levels, t_steps", [(1, 1), (2, 1), (1, 3), (5, 1)])
+    def test_every_slot_count_matches_the_serial_sum(self, levels, t_steps):
+        # an odd last slot has no partner; with one step per level a level
+        # ends with the next slot still in flight
+        rng = np.random.default_rng(40)
+        model = _random_model(rng, Activation.TANH, levels=levels, t_steps=t_steps)
+        x = normalized_rows(rng, 30, 16)
+        items = [(0, lv, scores) for lv, scores in iter_level_scores(model, x)]
+        assert_matches_reference([(model, x)], items)
+
+    def test_early_stop_joins_the_worker(self):
+        rng = np.random.default_rng(41)
+        model = _random_model(rng, Activation.TANH, levels=3, t_steps=1)
+        x = normalized_rows(rng, 30, 16)
+        before = threading.active_count()
+        # level 0 ends at slot 0, while the worker still computes slot 1
+        scores = predict_scores(model, x, up_to_level=0)
+        assert threading.active_count() == before
+        assert np.array_equal(_bits(scores), _bits(level_scores_reference(model, x)[0][1]))
+
+    @pytest.mark.parametrize(
+        "failing, first",
+        [({(0, 1)}, (0, 1)), ({(0, 0), (0, 1)}, (0, 0)), ({(0, 1), (1, 0)}, (0, 1))],
+    )
+    def test_first_error_in_slot_order_reaches_the_caller(self, monkeypatch, failing, first):
+        def generate(spec, level, step):
+            if (level, step) in failing:
+                raise RuntimeError(f"slot {(level, step)}")
+            return generate_projection(spec, level, step)
+
+        monkeypatch.setattr(boost, "generate_projection", generate)
+        rng = np.random.default_rng(42)
+        model = _random_model(rng, Activation.TANH, levels=2, t_steps=2)
+        x = normalized_rows(rng, 30, 16)
+        before = threading.active_count()
+        raised = []
+
+        def score():
+            try:
+                predict_scores(model, x)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        runner = threading.Thread(target=score)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "scoring hung after a slot raised"
+        assert raised == [f"slot {first}"]
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_keep_every_count_and_bit(self, calls):
+        # more scoring threads than cores, switching often: each call has its
+        # own worker, and the shared counts lose no update
+        rng = np.random.default_rng(44)
+        models = [
+            _random_model(rng, Activation.TANH, seed=seed, levels=3, t_steps=1)
+            for seed in range(4)
+        ]
+        x = normalized_rows(rng, 30, 16)
+        results = {}
+
+        def score(k):
+            results[k] = [(0, lv, s) for lv, s in iter_level_scores(models[k], x)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=score, args=(k,)) for k in range(len(models))]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        assert calls == {"generate": 12, "encode": 12}
+        for k, model in enumerate(models):
+            assert_matches_reference([(model, x)], results[k])
+
+    def test_threaded_blas_matches_the_serial_sum(self):
+        # At this shape numpy's bundled OpenBLAS gives other bits on 2 threads
+        # than on 1, so a product that ran on fewer threads would show.
+        script = """
+import numpy as np
+from elmboost.boost import BoostedModel, HyperParams, iter_level_scores
+from elmboost.projection import Activation
+from helpers import level_scores_reference, normalized_rows
+
+rng = np.random.default_rng(43)
+x = normalized_rows(rng, 1000, 784)
+jobs = []
+for activation in (Activation.TANH, Activation.SIGN):
+    hyper = HyperParams(levels=3, t_steps=1, hidden=784, activation=activation, master_seed=9)
+    weights = rng.standard_normal((3, 1, 784, 10))
+    jobs.append((BoostedModel(hyper=hyper, weights=weights, num_classes=10, input_width=784), x))
+items = list(iter_level_scores(jobs))
+for i, (model, x) in enumerate(jobs):
+    expected = [scores for _, scores in level_scores_reference(model, x)]
+    got = [scores for j, _, scores in items if j == i]
+    assert len(got) == len(expected) == 3
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (i, np.abs(a - b).max())
+"""
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestClassify:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from elmboost import linalg
+from elmboost import cli, linalg
 from elmboost.cli import main
 from elmboost.dataset import write_idx_images, write_idx_labels
 from elmboost.model_store import crc64
@@ -107,6 +107,19 @@ class TestTrainCommand:
     def test_non_finite_lambda_exits_1_without_model(self, data_dir, tmp_path, lam):
         assert main(train_args(data_dir, tmp_path, **{"--lambda": lam})) == 1
         assert not (tmp_path / "model.elmb").exists()
+
+    @pytest.mark.parametrize("flag", ["--levels", "--t-steps", "--hidden"])
+    def test_size_beyond_the_model_header_exits_1_before_training(
+        self, data_dir, tmp_path, monkeypatch, capsys, flag
+    ):
+        # the three sizes are u32 fields of the model file
+        def no_training(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(train_args(data_dir, tmp_path, **{flag: str(2**32)})) == 1
+        assert not (tmp_path / "model.elmb").exists()
+        assert "2**32" in capsys.readouterr().err
 
     def test_non_finite_weights_exit_3_without_model(
         self, data_dir, tmp_path, monkeypatch, capsys

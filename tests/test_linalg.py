@@ -1,5 +1,10 @@
 """Tests for the dense linear-algebra kernels, checked against naive oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,25 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.eye(2), -0.5)
 
+
+
+def test_lapack_is_imported_by_the_first_solve():
+    # scipy.linalg costs about 28 MB of resident memory; scoring never solves
+    script = """
+import sys
+import elmboost, elmboost.cli
+assert "scipy.linalg" not in sys.modules, "importing elmboost imported scipy.linalg"
+import numpy as np
+from elmboost import HyperParams, RawDataset, normalize, one_hot_encode, train
+images = np.random.default_rng(0).integers(0, 256, (20, 6), dtype=np.uint8)
+data = normalize(RawDataset(images=images, labels=np.arange(20) % 2, num_classes=2))
+model, _ = train(data, one_hot_encode(data.labels, 2), HyperParams(t_steps=1, levels=1, hidden=4))
+assert np.isfinite(model.weights).all()
+assert "scipy.linalg" in sys.modules
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
