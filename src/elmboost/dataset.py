@@ -24,6 +24,9 @@ LABEL_MAGIC = 0x00000801
 # Largest payload a header may declare before it is treated as corrupt.
 _MAX_PAYLOAD = 1 << 40
 
+# Rows per block of _row_norms: bounds its x*x temporary at 1024*M floats.
+_NORM_BLOCK_ROWS = 1024
+
 
 class IdxError(ValueError):
     """Malformed IDX file."""
@@ -102,7 +105,7 @@ class Dataset:
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
         if self.x.size:
-            norms = np.linalg.norm(self.x, axis=1)
+            norms = _row_norms(self.x)
             means = self.x.mean(axis=1)
             ok = (np.abs(means) <= 1e-9) & ((np.abs(norms - 1.0) <= 1e-9) | (norms == 0.0))
             if not ok.all():
@@ -204,6 +207,20 @@ def _write_maybe_gzipped(path, blob: bytes) -> None:
         Path(path).write_bytes(blob)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), one block of rows at a time.
+
+    norm squares its whole input into a temporary as large as x; each row is
+    reduced on its own, so computing the norms block by block gives the same
+    bits with a temporary of at most _NORM_BLOCK_ROWS rows.
+    """
+    norms = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _NORM_BLOCK_ROWS):
+        block = slice(start, start + _NORM_BLOCK_ROWS)
+        norms[block] = np.linalg.norm(x[block], axis=1)
+    return norms
+
+
 def normalize(raw: RawDataset) -> Dataset:
     """Normalize raw intensities row by row: square root, center, unit-scale.
 
@@ -212,10 +229,11 @@ def normalize(raw: RawDataset) -> Dataset:
     rows; their count is reported through a single RuntimeWarning.
     """
     flat = raw.images.max(axis=1) == raw.images.min(axis=1)
-    x = np.sqrt(raw.images.astype(np.float64))
+    x = raw.images.astype(np.float64)
+    np.sqrt(x, out=x)
     x -= x.mean(axis=1, keepdims=True)
     x[flat] = 0.0
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     np.divide(x, norms[:, None], out=x, where=norms[:, None] != 0.0)
     n_flat = int(flat.sum())
     if n_flat:

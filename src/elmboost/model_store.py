@@ -27,19 +27,26 @@ files.  The weight matrices in (level, step) order are exactly the model's
 written and read as one block.
 
 The checksum is CRC-64/XZ (reflected ECMA-182 polynomial, initial value and
-final XOR all-ones; b"123456789" gives 0x995DC9BBDF1939FA).  It is computed
-with numpy rather than byte by byte: the buffer is split into equal lanes
-that are checksummed together 8 bytes per step with slicing-by-8 tables,
-and the lane results are merged with "advance over n zero bytes" operators,
-exactly as zlib's crc32_combine merges CRCs.  The CRC is linear, so the
-result is the same number a byte-at-a-time loop gives; format version 1 and
-every byte of every file are unchanged.  load verifies the checksum over
-every preceding byte before it trusts the weights or hyperparameters.
+final XOR all-ones; b"123456789" gives 0x995DC9BBDF1939FA).  crc64 computes
+it with liblzma's native lzma_crc64, reached through the _lzma extension that
+CPython's lzma module loads, on the buffer in place.  Where that symbol
+cannot be reached (no _lzma, an _lzma built into the interpreter, or a static
+build that does not export it) crc64 is a numpy kernel instead: the buffer is
+split into equal lanes that are checksummed together 8 bytes per step with
+slicing-by-8 tables, and the lane results are merged with "advance over n
+zero bytes" operators, exactly as zlib's crc32_combine merges CRCs.  The
+kernel is chosen once, at import.  A CRC is an exact function of the bytes,
+so both give the number a byte-at-a-time loop gives, and format version 1
+and every byte of every file are the same whichever runs.  load verifies the
+checksum over every preceding byte before it trusts the weights or
+hyperparameters.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import operator
 import struct
 
 import numpy as np
@@ -151,9 +158,18 @@ def _raw_crc(words: np.ndarray) -> np.ndarray:
     return regs
 
 
-def crc64(data: bytes | bytearray | memoryview, state: int = 0) -> int:
+def _checked_state(state) -> int:
+    """A chaining state as a Python int in [0, 2**64): a CRC-64 register holds no other value."""
+    state = operator.index(state)
+    if not 0 <= state < 1 << 64:
+        raise ValueError(f"CRC-64 state must lie in [0, 2**64), got {state}")
+    return state
+
+
+def _lane_crc64(data: bytes | bytearray | memoryview, state: int = 0) -> int:
     """CRC-64/XZ of a bytes-like object; pass a previous result as state to chain chunks."""
     view = memoryview(data).cast("B")
+    state = _checked_state(state)
     size = view.nbytes
     block = 8 * _LANES
     head = size % block
@@ -167,6 +183,41 @@ def crc64(data: bytes | bytearray | memoryview, state: int = 0) -> int:
     # CRC from register r over D = advance_|D|(r) XOR CRC from zero over D.
     initial = np.array([state ^ _CRC64_XOR], dtype=np.uint64)
     return int((_advance(initial, size) ^ raw)[0]) ^ _CRC64_XOR
+
+
+def _find_lzma_crc64():
+    """liblzma's lzma_crc64 through the loaded _lzma extension, or None if it cannot be reached.
+
+    dlsym on the extension's handle also searches the liblzma it links
+    dynamically.  ctypes.util.find_library is not used: it starts ldconfig
+    and compiler subprocesses.
+    """
+    try:
+        import _lzma
+
+        function = ctypes.CDLL(_lzma.__file__).lzma_crc64
+    except (ImportError, AttributeError, OSError):
+        return None
+    # uint64_t lzma_crc64(const uint8_t *buf, size_t size, uint64_t crc)
+    function.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint64)
+    function.restype = ctypes.c_uint64
+    return function
+
+
+_LZMA_CRC64 = _find_lzma_crc64()
+
+
+def _native_crc64(data: bytes | bytearray | memoryview, state: int = 0) -> int:
+    """CRC-64/XZ of a bytes-like object; pass a previous result as state to chain chunks."""
+    view = memoryview(data).cast("B")
+    state = _checked_state(state)
+    # frombuffer takes read-only buffers too; buffer stays referenced for the call
+    buffer = np.frombuffer(view, dtype=np.uint8)
+    return _LZMA_CRC64(buffer.ctypes.data, buffer.size, state)
+
+
+# liblzma takes the same chaining state (the previous result, 0 to start).
+crc64 = _native_crc64 if _LZMA_CRC64 is not None else _lane_crc64
 
 
 def _pack_header(model: BoostedModel) -> bytes:

@@ -5,7 +5,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from elmboost import model_store
 from elmboost.dataset import Dataset
 
 
@@ -14,6 +16,20 @@ def normalized_rows(rng, n, m):
     x = rng.standard_normal((n, m))
     x -= x.mean(axis=1, keepdims=True)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
+def normalize_reference(images):
+    """uint8 image rows normalized in one shot: the oracle for elmboost.dataset.normalize.
+
+    Square root, subtract the row mean, zero the all-constant rows, then
+    divide every nonzero row by its Euclidean norm over the whole matrix.
+    """
+    x = np.sqrt(images.astype(np.float64))
+    x -= x.mean(axis=1, keepdims=True)
+    x[images.max(axis=1) == images.min(axis=1)] = 0.0
+    norms = np.linalg.norm(x, axis=1)
+    np.divide(x, norms[:, None], out=x, where=norms[:, None] != 0.0)
     return x
 
 
@@ -78,6 +94,13 @@ def crc64_reference(data: bytes, state: int = 0) -> int:
     for byte in bytes(data):
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ _CRC64_XOR
+
+
+# Marks tests that call the native CRC-64 kernel directly.
+needs_lzma_crc64 = pytest.mark.skipif(
+    model_store._LZMA_CRC64 is None,
+    reason="liblzma's lzma_crc64 cannot be reached from this interpreter",
+)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

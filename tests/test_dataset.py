@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from elmboost.dataset import (
     write_idx_labels,
     zero_pixel_noise,
 )
+
+from helpers import normalize_reference
 
 
 def image_blob(count, rows, cols, payload):
@@ -211,6 +214,32 @@ class TestNormalize:
         again = x - x.mean(axis=1, keepdims=True)
         again /= np.linalg.norm(again, axis=1, keepdims=True)
         assert np.abs(again - x).max() < 1e-9
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (1023, 9), (1024, 9), (1025, 9), (3000, 100)])
+    def test_bitwise_the_one_shot_formula(self, n, m):
+        # the row norms are computed block by block; every bit must stay
+        rng = np.random.default_rng(n + m)
+        images = rng.integers(0, 256, (n, m), dtype=np.uint8)
+        images[::7] = 9  # all-constant rows, row 0 among them
+        raw = RawDataset(images=images, labels=np.zeros(n, dtype=np.int64), num_classes=1)
+        with pytest.warns(RuntimeWarning, match="all-constant"):
+            x = normalize(raw).x
+        assert np.array_equal(x.view(np.uint64), normalize_reference(images).view(np.uint64))
+
+    def test_peak_memory_below_one_and_a_half_outputs(self):
+        rng = np.random.default_rng(4)
+        raw = RawDataset(
+            images=rng.integers(0, 256, (4096, 256), dtype=np.uint8),
+            labels=np.zeros(4096, dtype=np.int64),
+            num_classes=1,
+        )
+        tracemalloc.start()
+        try:
+            x = normalize(raw).x
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestOneHot:

@@ -1,10 +1,12 @@
 """Tests for the binary model format: layout, checksums, round-trips."""
 
+import ctypes
 import struct
 
 import numpy as np
 import pytest
 
+from elmboost import model_store
 from elmboost.boost import HyperParams, predict_scores, train
 from elmboost.dataset import one_hot_encode
 from elmboost.model_store import (
@@ -20,7 +22,7 @@ from elmboost.model_store import (
 )
 from elmboost.projection import Activation
 
-from helpers import crc64_reference, make_dataset
+from helpers import crc64_reference, make_dataset, needs_lzma_crc64
 
 
 @pytest.fixture
@@ -44,16 +46,65 @@ def refresh_crc(blob):
 
 
 class TestCrc64:
+    """model_store.crc64, the kernel this interpreter picked; subclasses call each kernel."""
+
+    crc64 = staticmethod(crc64)
+
     def test_catalog_check_value(self):
-        assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+        assert self.crc64(b"123456789") == 0x995DC9BBDF1939FA
         assert crc64_reference(b"123456789") == 0x995DC9BBDF1939FA
 
     def test_empty(self):
-        assert crc64(b"") == 0
+        assert self.crc64(b"") == 0
 
     def test_chaining(self):
         data = bytes(range(200))
-        assert crc64(data[120:], state=crc64(data[:120])) == crc64(data)
+        assert self.crc64(data[120:], state=self.crc64(data[:120])) == self.crc64(data)
+
+
+class TestLaneCrc64(TestCrc64):
+    crc64 = staticmethod(model_store._lane_crc64)
+
+
+@needs_lzma_crc64
+class TestNativeCrc64(TestCrc64):
+    crc64 = staticmethod(model_store._native_crc64)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(model_store._lane_crc64, id="lanes"),
+        pytest.param(model_store._native_crc64, id="native", marks=needs_lzma_crc64),
+    ],
+)
+class TestCrc64State:
+    def test_largest_state_admitted(self, kernel):
+        state = 2**64 - 1
+        assert kernel(b"abc", state) == crc64_reference(b"abc", state)
+
+    @pytest.mark.parametrize("state", [-1, 2**64])
+    def test_state_outside_the_register_rejected(self, kernel, state):
+        # a C uint64 would wrap these to 2**64 - 1 and 5 and return a wrong CRC
+        with pytest.raises(ValueError, match="state"):
+            kernel(b"abc", state)
+
+    @pytest.mark.parametrize("state", [2.0, "0", None])
+    def test_non_integer_state_rejected(self, kernel, state):
+        with pytest.raises(TypeError):
+            kernel(b"abc", state)
+
+
+def test_native_kernel_is_picked_where_liblzma_exports_it():
+    # looked up independently of model_store, so a broken lookup there fails
+    # here rather than silently running the slower numpy kernel
+    try:
+        import _lzma
+
+        ctypes.CDLL(_lzma.__file__).lzma_crc64
+    except (ImportError, AttributeError, OSError):
+        pytest.skip("liblzma's lzma_crc64 cannot be reached from this interpreter")
+    assert model_store.crc64 is model_store._native_crc64
 
 
 class TestRoundTrip:

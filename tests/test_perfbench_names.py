@@ -12,8 +12,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import elmboost.boost
 import elmboost.cli  # noqa: F401  (the traced lookups go through this module)
+import elmboost.model_store
+from elmboost.boost import BoostedModel, HyperParams
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -46,3 +50,25 @@ def test_level_scorer_is_a_generator_function():
     # the tracer times a generator function per resumption; a plain function
     # returning a generator would charge the whole walk to its caller
     assert inspect.isgeneratorfunction(elmboost.boost.iter_level_scores)
+
+
+def test_save_and_load_checksum_through_the_traced_name(monkeypatch, tmp_path):
+    # the tracer counts model_store.crc64 calls and bytes under this name; a
+    # kernel called directly would leave both at 0 without the layer going absent
+    calls = []
+    kernel = elmboost.model_store.crc64
+
+    def counting(data, state=0):
+        calls.append(memoryview(data).nbytes)
+        return kernel(data, state)
+
+    monkeypatch.setattr(elmboost.model_store, "crc64", counting)
+    hyper = HyperParams(levels=2, t_steps=3, hidden=4, master_seed=5)
+    model = BoostedModel(
+        hyper=hyper, weights=np.ones((2, 3, 4, 3)), num_classes=3, input_width=6
+    )
+    path = tmp_path / "m.elmb"
+    elmboost.model_store.save(model, path)
+    elmboost.model_store.load(path)
+    payload = path.stat().st_size - 8
+    assert calls == [payload, payload]

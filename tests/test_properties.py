@@ -1,4 +1,4 @@
-"""Property tests: the numpy CRC and the blocked projection generator against their
+"""Property tests: both CRC kernels and the blocked projection generator against their
 whole-stream oracles, the sign of tanh, and the two binary parsers."""
 
 import gzip
@@ -23,7 +23,7 @@ from elmboost.model_store import (
 )
 from elmboost.projection import Activation, ProjectionSpec, activate, generate_projection
 
-from helpers import crc64_reference, model_file_reference, projection_reference
+from helpers import crc64_reference, model_file_reference, needs_lzma_crc64, projection_reference
 
 LANE_BLOCK = 8 * model_store._LANES  # bytes in one word per lane
 
@@ -40,33 +40,54 @@ _constant_bytes = st.builds(
 buffers = st.one_of(st.binary(max_size=300), _random_bytes, _constant_bytes)
 states = st.integers(0, 2**64 - 1)
 
+# The kernel subclasses run these inherited properties too.  Examples are
+# derandomized and no database is kept (conftest.py), so every class draws
+# the same examples and nothing is replayed across them.
+_shared_by_subclasses = settings(suppress_health_check=[HealthCheck.differing_executors])
+
 
 class TestCrc64MatchesOracle:
+    """model_store.crc64, the kernel this interpreter picked; subclasses call each kernel."""
+
+    crc64 = staticmethod(crc64)
+
     @pytest.mark.parametrize(
         "size", [7, 8, 9, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1, 2 * LANE_BLOCK + 8]
     )
     def test_lane_block_boundaries(self, size):
         data = np.random.default_rng(size).bytes(size)
-        assert crc64(data, 12345) == crc64_reference(data, 12345)
+        assert self.crc64(data, 12345) == crc64_reference(data, 12345)
 
+    @_shared_by_subclasses
     @given(data=buffers, state=states)
     def test_any_buffer_and_state(self, data, state):
-        assert crc64(data, state) == crc64_reference(data, state)
+        assert self.crc64(data, state) == crc64_reference(data, state)
 
+    @_shared_by_subclasses
     @given(data=buffers, cut=st.floats(0.0, 1.0))
     def test_chaining_at_any_split(self, data, cut):
         k = int(cut * len(data))
-        assert crc64(data[k:], state=crc64(data[:k])) == crc64_reference(data)
+        assert self.crc64(data[k:], state=self.crc64(data[:k])) == crc64_reference(data)
 
+    @_shared_by_subclasses
     @given(data=buffers, shift=st.integers(1, 7))
     def test_unaligned_memoryview(self, data, shift):
         view = memoryview(bytearray(shift) + data)[shift:]
-        assert crc64(view) == crc64_reference(data)
+        assert self.crc64(view) == crc64_reference(data)
 
     @pytest.mark.parametrize("cut", range(10))
     def test_catalog_value_chained_at_any_split(self, cut):
         check = b"123456789"
-        assert crc64(check[cut:], state=crc64(check[:cut])) == 0x995DC9BBDF1939FA
+        assert self.crc64(check[cut:], state=self.crc64(check[:cut])) == 0x995DC9BBDF1939FA
+
+
+class TestLaneCrc64MatchesOracle(TestCrc64MatchesOracle):
+    crc64 = staticmethod(model_store._lane_crc64)
+
+
+@needs_lzma_crc64
+class TestNativeCrc64MatchesOracle(TestCrc64MatchesOracle):
+    crc64 = staticmethod(model_store._native_crc64)
 
 
 BLOCK_DEVIATES = 2 * projection._BLOCK_PAIRS  # deviates the generator makes per block
