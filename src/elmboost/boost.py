@@ -15,6 +15,7 @@ import logging
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -110,6 +111,18 @@ def _slots(hyper: HyperParams) -> Iterator[tuple[int, int]]:
     return itertools.product(range(hyper.levels), range(hyper.t_steps))
 
 
+def _slot_factor(x: np.ndarray, spec: ProjectionSpec, hyper: HyperParams, slot: tuple[int, int]):
+    """(H, Cholesky factor of HᵀH + λI) of one slot: the half of its fit that ignores the residual."""
+    lv, t = slot
+    h = encode(x, generate_projection(spec, lv, t), hyper.activation)
+    try:
+        return h, linalg.ridge_factor(h, hyper.lam)
+    except linalg.NotPositiveDefiniteError as exc:
+        raise linalg.NotPositiveDefiniteError(
+            exc.pivot_index, context=f"at boosting level {lv}, step {t}"
+        ) from exc
+
+
 def train(
     data: Dataset,
     targets: np.ndarray,
@@ -123,6 +136,15 @@ def train(
     fitted scores from the residual.  This is identical to fitting each step
     against the level residual minus alpha times the level's accumulated
     prediction, with the residual rolled forward at level boundaries.
+
+    Only HᵀY, the triangular solves and H·W read the residual.  The rest of
+    a slot (projection, encoding, Gram + λ and its Cholesky factor) is a
+    pure function of the slot, so one worker thread computes it for every
+    other slot while the calling thread computes it for the slot before;
+    the calling thread then solves the slots in order, so every bit is that
+    of the serial walk.  Two N×J encodings are alive at once.  BLAS runs on
+    one thread throughout (linalg.one_blas_thread) and the worker is joined
+    before train returns or raises.
 
     Parameters
     ----------
@@ -150,26 +172,24 @@ def train(
     residual = targets.copy()
     residual_norms = np.zeros((hyper.levels, hyper.t_steps))
     weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, k))
-    for lv, t in _slots(hyper):
-        h = encode(x, generate_projection(spec, lv, t), hyper.activation)
-        try:
-            w = linalg.ridge_solve(h, residual, hyper.lam)
-        except linalg.NotPositiveDefiniteError as exc:
-            raise linalg.NotPositiveDefiniteError(
-                exc.pivot_index, context=f"at boosting level {lv}, step {t}"
-            ) from exc
-        if not np.isfinite(w).all():
-            raise FloatingPointError(
-                f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
-            )
-        # The update multiplies by the solver's own w, not its stored copy:
-        # BLAS may round a product differently for another operand layout.
-        residual -= hyper.alpha * (h @ w)
-        del h
-        weights[lv, t] = w
-        residual_norms[lv, t] = np.linalg.norm(residual)
-        if t == hyper.t_steps - 1:
-            log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
+    work = functools.partial(_slot_factor, x, spec, hyper)
+    with linalg.one_blas_thread(lapack=True), _one_worker() as pool:
+        for (lv, t), (h, factor) in _in_pairs(pool, work, _slots(hyper)):
+            w = linalg.factor_solve(factor, h.T @ residual)
+            if not np.isfinite(w).all():
+                raise FloatingPointError(
+                    f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
+                )
+            # The update multiplies by the solver's own w, not its stored copy:
+            # BLAS may round a product differently for another operand layout.
+            residual -= hyper.alpha * (h @ w)
+            # Dropped before the walk resumes: with the two slots it then
+            # computes, a third encoding would be alive.
+            del h, factor
+            weights[lv, t] = w
+            residual_norms[lv, t] = np.linalg.norm(residual)
+            if t == hyper.t_steps - 1:
+                log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
     return model, TrainReport(residual_norms=residual_norms)
@@ -237,19 +257,34 @@ def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tup
     return terms
 
 
+@contextmanager
+def _one_worker() -> Iterator[ThreadPoolExecutor]:
+    """A single-worker pool for _in_pairs, joined on exit; a slot not yet started is dropped."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _in_pairs(pool: ThreadPoolExecutor, work: Callable, slots: Iterator) -> Iterator[tuple]:
     """(slot, work(slot)) for every slot, in order.
 
     Slots go in pairs: the pool's worker computes the second of each pair
-    while this thread computes the first.  An error surfaces in slot order;
-    a consumer that stops early leaves at most one slot in flight.
+    while this thread computes the first, so two results are alive at once.
+    A consumer that drops each result before asking for the next keeps it
+    at two.  An error surfaces in slot order; a consumer that stops early
+    leaves at most one slot in flight.
     """
     slots = iter(slots)
     for here, ahead in itertools.zip_longest(slots, slots):
-        future = None if ahead is None else pool.submit(work, ahead)
+        if ahead is None:
+            yield here, work(here)
+            return
+        future = pool.submit(work, ahead)
         yield here, work(here)
-        if future is not None:
-            yield ahead, future.result()
+        yield ahead, future.result()
+        del future  # it holds the result until the next pair would start
 
 
 def _group_walk(
@@ -294,6 +329,7 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     The call runs one worker thread, which computes every other (level,
     step) slot while the calling thread computes the slot before it.  The
     worker is joined when the generator finishes, raises or is closed.
+    numpy's BLAS is held at one thread for as long as the walk is open.
     """
     single = isinstance(model, BoostedModel)
     jobs = _checked_jobs(_job_list(model, x_new))
@@ -303,14 +339,11 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
         groups.setdefault(key, []).append(i)
     # One worker for every group: two slots at most are computed at once.
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
+    with linalg.one_blas_thread(), _one_worker() as pool:
         walks = [_group_walk(jobs, members, pool) for members in groups.values()]
         for level in itertools.zip_longest(*walks, fillvalue=()):
             for i, lv, scores in itertools.chain.from_iterable(level):
                 yield (lv, scores) if single else (i, lv, scores)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def predict_scores(model, x_new=None, up_to_level: int | None = None):

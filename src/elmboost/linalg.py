@@ -1,18 +1,47 @@
 """The closed-form ridge solver and the Gram and Cholesky kernels under it.
 
 Everything operates on 2-D float64 numpy arrays.  Products are plain numpy
-``@`` and the Cholesky factorization is LAPACK through scipy; these
-functions add shape validation and the positive-definiteness error contract
-the ridge solver relies on.
+``@``; the Cholesky factorization and its triangular solves are LAPACK's
+``dpotrf`` and ``dpotrs``.  These functions add shape validation and the
+positive-definiteness error contract the ridge solver relies on.
 
-scipy's LAPACK module is imported by the first ``cholesky_solve`` call, not
-with the package: it adds about 28 MB of resident memory, which processes
-that only score or load models (``curve``, ``noise``, ``load``) never need.
+The ridge solve comes in two halves: ``ridge_factor`` (HᵀH + λI and its
+Cholesky factor, which do not depend on the targets) and ``factor_solve``
+(the triangular solves against a right-hand side).  ``ridge_factor`` factors
+the Gram matrix in place: ``gram`` is exactly symmetric, so its transpose,
+an F-ordered view of the same memory, is the same matrix in LAPACK's layout.
+
+LAPACK is the library scipy's ``_flapack`` extension links, called through
+ctypes: the extension's file is opened as a plain shared library, which does
+not run it as a Python module, and ``dlsym`` on that handle also searches
+the libraries it links.  Importing ``scipy.linalg`` instead would load about
+310 modules and 25-29 MB of resident memory for two functions.  The symbols
+are looked up once, when LAPACK is first needed (``scipy_dpotrf_``, then
+``dpotrf_``); where they cannot be reached, ``scipy.linalg.lapack`` is
+imported instead.  Either way it is the same library function, so the bits
+are the same.  Processes that only score or load models never open it.
+
+OpenBLAS gives other bits on another thread count.  ``one_blas_thread``
+holds numpy's BLAS, and optionally the BLAS under LAPACK, at one thread and
+restores the caller's counts afterwards; ``boost.train`` and the scorer run
+inside it, so their bits do not depend on the caller's thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import importlib.machinery
+import importlib.util
+import logging
+import os
+import threading
+from contextlib import contextmanager
+from typing import Callable, NamedTuple
+
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -26,11 +55,211 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(message)
 
 
+def _library(path):
+    """The shared library at path, opened without running it as a Python module, or None."""
+    if not path:
+        return None  # CDLL(None) would open the interpreter itself
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
+def _symbol(lib, *names):
+    """The first of names that lib or a library it links exports, or None."""
+    for name in names:
+        try:
+            return getattr(lib, name)
+        except AttributeError:
+            pass
+    return None
+
+
+def _thread_calls(lib):
+    """(get, set) of the thread count of the OpenBLAS that lib is or links, or None."""
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            get = _symbol(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            put = _symbol(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _ThreadCount:
+    """The thread count of one OpenBLAS copy, held at 1 while any caller pins it.
+
+    Holders nest and may be on several threads (callers hold _pin_lock): the
+    first sets 1 and the last restores the count the first found.  Where the
+    library exports no getter and setter, holding it logs once and changes
+    nothing.
+    """
+
+    def __init__(self, what: str, lib):
+        self.what = what
+        self.calls = _thread_calls(lib)
+        self.holders = 0
+        self.saved = 0
+        self.warned = False
+
+    def hold(self) -> None:
+        if self.calls is None:
+            if not self.warned:
+                self.warned = True
+                log.warning(
+                    "%s exports no OpenBLAS thread setter; its thread count is left "
+                    "unchanged, so results may depend on it", self.what,
+                )
+            return
+        get, put = self.calls
+        if self.holders == 0:
+            self.saved = get()
+            put(1)
+        self.holders += 1
+
+    def release(self) -> None:
+        if self.calls is None:
+            return
+        self.holders -= 1
+        if self.holders == 0:
+            self.calls[1](self.saved)
+
+
+def _numpy_blas():
+    try:
+        return _library(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, AttributeError):
+        return None
+
+
+_NUMPY_THREADS = _ThreadCount("numpy's BLAS", _numpy_blas())
+_pin_lock = threading.Lock()
+_LAPACK = None
+_lapack_lock = threading.Lock()
+
+
+class _Lapack(NamedTuple):
+    """The two LAPACK calls ridge solving needs, and the BLAS copy under them."""
+
+    via: str  # "ctypes" or "scipy.linalg.lapack"
+    potrf: Callable[[np.ndarray], int]  # factor F-ordered c in place (lower); info
+    potrs: Callable[[np.ndarray, np.ndarray], tuple]  # (Z of a·Z = b, info)
+    threads: _ThreadCount
+
+
+def _flapack_path():
+    """File of scipy's _flapack extension, found without importing scipy.linalg."""
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        return None
+    return spec.origin
+
+
+def _scipy_lapack(lib=None) -> _Lapack:
+    """dpotrf and dpotrs through scipy.linalg.lapack, which imports scipy.linalg."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    def potrf(c):
+        return dpotrf(c, lower=1, clean=0, overwrite_a=1)[1]
+
+    def potrs(c, b):
+        return dpotrs(c, b, lower=1)
+
+    return _Lapack("scipy.linalg.lapack", potrf, potrs, _ThreadCount("scipy's LAPACK", lib))
+
+
+def _lapack() -> _Lapack:
+    """The LAPACK binding, looked up by the first call and kept for the process."""
+    global _LAPACK
+    if _LAPACK is None:
+        with _lapack_lock:  # one binding, so one thread count per BLAS copy
+            if _LAPACK is None:
+                _LAPACK = _load_lapack()
+    return _LAPACK
+
+
+def _load_lapack() -> _Lapack:
+    """LAPACK through ctypes on scipy's _flapack file, else through scipy.linalg.lapack."""
+    lib = _library(_flapack_path())
+    dpotrf = _symbol(lib, "scipy_dpotrf_", "dpotrf_")
+    dpotrs = _symbol(lib, "scipy_dpotrs_", "dpotrs_")
+    if dpotrf is None or dpotrs is None:
+        return _scipy_lapack(lib)
+    # Fortran ABI: every argument by reference, then the hidden length of UPLO.
+    ref, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    dpotrf.argtypes = [ctypes.c_char_p, ref, ptr, ref, ref, ctypes.c_size_t]
+    dpotrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref, ctypes.c_size_t]
+    dpotrf.restype = dpotrs.restype = None
+
+    def potrf(c):
+        n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
+        dpotrf(b"L", n, c.ctypes.data, ld, info, 1)
+        return info.value
+
+    def potrs(c, b):
+        z = np.array(b, dtype=np.float64, order="F")
+        n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
+        dpotrs(b"L", n, ctypes.c_int(z.shape[1]), c.ctypes.data, ld, z.ctypes.data, ld, info, 1)
+        return z, info.value
+
+    return _Lapack("ctypes", potrf, potrs, _ThreadCount("scipy's LAPACK", lib))
+
+
+@contextmanager
+def one_blas_thread(lapack: bool = False):
+    """Run the block with numpy's BLAS on one thread; with lapack, LAPACK's BLAS too.
+
+    The thread count is process-wide.  Nested and concurrent blocks share
+    one pin, and the last block to leave restores the count the first one
+    found, also when the block raises.
+    """
+    counts = [_NUMPY_THREADS, _lapack().threads] if lapack else [_NUMPY_THREADS]
+    with _pin_lock:
+        for count in counts:
+            count.hold()
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            for count in reversed(counts):
+                count.release()
+
+
 def gram(h: np.ndarray) -> np.ndarray:
     """HᵀH, exactly symmetric: numpy computes one triangle and mirrors it."""
     if h.ndim != 2 or h.size == 0:
         raise ValueError(f"gram needs a nonempty 2-D matrix, got shape {h.shape}")
     return h.T @ h
+
+
+def _factor(c: np.ndarray) -> None:
+    """Overwrite the lower triangle of the F-ordered square c with its Cholesky factor."""
+    info = _lapack().potrf(c)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
+    if info < 0:
+        raise ValueError(f"invalid argument {-info} passed to dpotrf")
+
+
+def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a·Z = b given c, whose lower triangle is the Cholesky factor of a.
+
+    Two triangular solves (``dpotrs``); b is not mutated and Z comes back
+    F-ordered, as scipy's wrapper returns it.
+    """
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim != 2 or c.shape[0] != b.shape[0]:
+        raise ValueError(f"factor_solve shape mismatch: {c.shape} vs {b.shape}")
+    z, info = _lapack().potrs(np.asfortranarray(c, dtype=np.float64), b)
+    if info != 0:
+        raise ValueError(f"dpotrs failed with status {info}")
+    return z
 
 
 def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,17 +277,26 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"cholesky_solve needs a square matrix, got {a.shape}")
     if b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"cholesky_solve shape mismatch: {a.shape} vs {b.shape}")
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    c = np.array(a, dtype=np.float64, order="F")
+    _factor(c)
+    return factor_solve(c, b)
 
-    c, info = dpotrf(a, lower=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} passed to dpotrf")
-    z, info = dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with status {info}")
-    return z
+
+def ridge_factor(h: np.ndarray, lam: float) -> np.ndarray:
+    """Cholesky factor of HᵀH + λI, for factor_solve; it does not depend on the targets.
+
+    Returns an F-ordered J×J array whose lower triangle is the factor; the
+    strict upper triangle keeps HᵀH.  The factor overwrites the Gram
+    matrix's own memory, so no J×J copy is made.
+    """
+    if lam < 0:
+        raise ValueError(f"regularizer must be nonnegative, got {lam}")
+    g = gram(h)
+    if lam:
+        g[np.diag_indices_from(g)] += lam
+    c = np.asfortranarray(g.T, dtype=np.float64)  # a view: g is C-ordered and symmetric
+    _factor(c)
+    return c
 
 
 def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -70,10 +308,4 @@ def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """
     if h.ndim != 2 or y.ndim != 2 or h.shape[0] != y.shape[0]:
         raise ValueError(f"ridge_solve shape mismatch: h is {h.shape}, y is {y.shape}")
-    if lam < 0:
-        raise ValueError(f"regularizer must be nonnegative, got {lam}")
-    g = gram(h)
-    if lam:
-        g[np.diag_indices_from(g)] += lam
-    return cholesky_solve(g, h.T @ y)
-
+    return factor_solve(ridge_factor(h, lam), h.T @ y)

@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import ctypes
 import os
 import struct
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elmboost import model_store
+from elmboost import linalg, model_store
 from elmboost.dataset import Dataset
 
 
@@ -101,6 +102,68 @@ needs_lzma_crc64 = pytest.mark.skipif(
     model_store._LZMA_CRC64 is None,
     reason="liblzma's lzma_crc64 cannot be reached from this interpreter",
 )
+
+
+def _exports(path, *names) -> bool:
+    return path is not None and all(hasattr(ctypes.CDLL(path), name) for name in names)
+
+
+# Marks tests of the ctypes LAPACK binding: looked up here independently of
+# elmboost.linalg, on the same extension file.
+needs_ctypes_lapack = pytest.mark.skipif(
+    not (
+        _exports(linalg._flapack_path(), "scipy_dpotrf_", "scipy_dpotrs_")
+        or _exports(linalg._flapack_path(), "dpotrf_", "dpotrs_")
+    ),
+    reason="scipy's _flapack exports no dpotrf / dpotrs symbol here",
+)
+
+NUMPY_BLAS = np.linalg._umath_linalg.__file__
+_THREAD_NAMES = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+
+
+def _thread_call(path, op):
+    lib = ctypes.CDLL(path)
+    for name in _THREAD_NAMES:
+        call = getattr(lib, name % op, None)
+        if call is not None:
+            return call
+    pytest.skip(f"{path} exports no OpenBLAS thread-count {op}ter")
+
+
+def blas_threads(path=NUMPY_BLAS) -> int:
+    """Thread count of the OpenBLAS the library at path links (numpy's by default)."""
+    return _thread_call(path, "get")()
+
+
+def set_blas_threads(count: int, path=NUMPY_BLAS) -> None:
+    _thread_call(path, "set")(count)
+
+
+def train_reference(data, targets, hyper):
+    """(weights, residual norms) of the serial step walk, built from the public pieces.
+
+    One slot at a time in (level, step) order: generate the projection,
+    encode, ridge-solve against the running residual, then subtract alpha
+    times the fit.  The oracle for the overlapped elmboost.boost.train.
+    """
+    from elmboost.projection import ProjectionSpec, encode, generate_projection
+
+    x = data.x
+    spec = ProjectionSpec(master_seed=hyper.master_seed, j=hyper.hidden, m=x.shape[1])
+    residual = np.array(targets, dtype=np.float64)
+    weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, residual.shape[1]))
+    norms = np.empty((hyper.levels, hyper.t_steps))
+    with linalg.one_blas_thread(lapack=True):
+        for lv in range(hyper.levels):
+            for t in range(hyper.t_steps):
+                h = encode(x, generate_projection(spec, lv, t), hyper.activation)
+                w = linalg.ridge_solve(h, residual, hyper.lam)
+                residual -= hyper.alpha * (h @ w)
+                weights[lv, t] = w
+                norms[lv, t] = np.linalg.norm(residual)
+    return weights, norms
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -1,9 +1,11 @@
 """Tests for boosted training, prediction, and classification."""
 
+import hashlib
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,13 @@ from elmboost.dataset import Dataset, RawDataset, normalize, one_hot_encode, zer
 from elmboost.linalg import NotPositiveDefiniteError, ridge_solve
 from elmboost.projection import Activation, ProjectionSpec, encode, generate_projection
 
-from helpers import level_scores_reference, make_dataset, normalized_rows, separable_images
+from helpers import (
+    level_scores_reference,
+    make_dataset,
+    normalized_rows,
+    separable_images,
+    train_reference,
+)
 
 
 class TestHyperParams:
@@ -171,19 +179,132 @@ class TestTrain:
         data = make_dataset(rng, 20, 5, 2)
         y = one_hot_encode(data.labels, 2)
         hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
-        solve = linalg.ridge_solve
+        # train solves on each slot's factor in slot order on the calling thread
+        solve = linalg.factor_solve
         calls = []
 
-        def poisoned_solve(h, residual, lam):
+        def poisoned_solve(factor, rhs):
             calls.append(None)
-            w = solve(h, residual, lam)
+            w = solve(factor, rhs)
             if len(calls) == 3:
                 w[0, 0] = np.inf
             return w
 
-        monkeypatch.setattr(linalg, "ridge_solve", poisoned_solve)
+        monkeypatch.setattr(linalg, "factor_solve", poisoned_solve)
         with pytest.raises(FloatingPointError, match="level 1, step 0"):
             train(data, y, hyper)
+
+
+class TestOverlappedTrain:
+    """train computes two slots' factors at once and still solves them in slot order."""
+
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.SIGN])
+    @pytest.mark.parametrize("levels, t_steps", [(1, 1), (2, 1), (1, 3), (5, 1)])
+    def test_every_slot_count_matches_the_serial_walk(self, activation, levels, t_steps):
+        rng = np.random.default_rng(50)
+        data = make_dataset(rng, 60, 12, 3)
+        y = one_hot_encode(data.labels, 3)
+        hyper = HyperParams(
+            lam=0.5, alpha=0.5, t_steps=t_steps, levels=levels, hidden=10,
+            activation=activation, master_seed=8,
+        )
+        model, report = train(data, y, hyper)
+        weights, norms = train_reference(data, y, hyper)
+        assert np.array_equal(_bits(model.weights), _bits(weights))
+        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+
+    @pytest.mark.parametrize(
+        "failing, first",
+        [({(0, 1)}, (0, 1)), ({(0, 0)}, (0, 0)), ({(0, 0), (0, 1)}, (0, 0)),
+         ({(0, 1), (1, 0)}, (0, 1)), ({(1, 1)}, (1, 1))],
+    )
+    def test_first_singular_slot_in_order_is_named(self, monkeypatch, failing, first):
+        # a zero projection gives a zero encoding, singular at lambda = 0;
+        # slots (0, 1) and (1, 1) are computed on the worker
+        def generate(spec, level, step):
+            r = generate_projection(spec, level, step)
+            return np.zeros_like(r) if (level, step) in failing else r
+
+        monkeypatch.setattr(boost, "generate_projection", generate)
+        rng = np.random.default_rng(51)
+        data = make_dataset(rng, 40, 6, 2)
+        hyper = HyperParams(lam=0.0, alpha=0.5, t_steps=2, levels=2, hidden=8)
+        before = threading.active_count()
+        with pytest.raises(NotPositiveDefiniteError, match=f"level {first[0]}, step {first[1]}$"):
+            train(data, one_hot_encode(data.labels, 2), hyper)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_train(self):
+        rng = np.random.default_rng(52)
+        data = make_dataset(rng, 30, 6, 2)
+        y = one_hot_encode(data.labels, 2)
+        before = threading.active_count()
+        train(data, y, HyperParams(t_steps=3, levels=1, hidden=5))
+        assert threading.active_count() == before
+        zeros = Dataset(x=np.zeros((10, 6)), labels=np.zeros(10, dtype=np.int64), num_classes=2)
+        with pytest.raises(NotPositiveDefiniteError):
+            train(zeros, one_hot_encode(zeros.labels, 2), HyperParams(lam=0.0, t_steps=3, levels=1, hidden=5))
+        assert threading.active_count() == before
+
+    def test_scipy_lapack_path_trains_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        data = make_dataset(rng, 50, 8, 3)
+        y = one_hot_encode(data.labels, 3)
+        hyper = HyperParams(t_steps=2, levels=2, hidden=9, master_seed=4)
+        model, report = train(data, y, hyper)
+        monkeypatch.setattr(linalg, "_LAPACK", linalg._scipy_lapack())
+        fallback, fallback_report = train(data, y, hyper)
+        assert np.array_equal(_bits(fallback.weights), _bits(model.weights))
+        assert np.array_equal(_bits(fallback_report.residual_norms), _bits(report.residual_norms))
+
+    def test_at_most_two_encodings_alive(self):
+        # encodings dominate at this shape: N x J is 16 times J x J and 32
+        # times N x K, so a third encoding alive at once shows
+        n, m, j, k = 4096, 8, 64, 2
+        rng = np.random.default_rng(54)
+        data = make_dataset(rng, n, m, k)
+        y = one_hot_encode(data.labels, k)
+        hyper = HyperParams(t_steps=3, levels=2, hidden=j, master_seed=6)
+        train(data, y, hyper)  # LAPACK is looked up once, outside the trace
+        encoding, gram_bytes, column_bytes = 8 * n * j, 8 * j * j, 8 * n * k
+        tracemalloc.start()
+        try:
+            train(data, y, hyper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * encoding + 8 * column_bytes + 8 * gram_bytes, peak / encoding
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At this shape OpenBLAS gives other bits on 2 threads than on 1 in
+    # every kernel train and predict_scores call, unless the package pins it.
+    script = """
+import hashlib, sys
+import numpy as np
+from elmboost import HyperParams, RawDataset, normalize, one_hot_encode, predict_scores, save_model, train
+rng = np.random.default_rng(17)
+images = rng.integers(0, 256, (1500, 256), dtype=np.uint8)
+labels = rng.integers(0, 10, 1500)
+data = normalize(RawDataset(images=images[:1000], labels=labels[:1000], num_classes=10))
+test = normalize(RawDataset(images=images[1000:], labels=labels[1000:], num_classes=10))
+hyper = HyperParams(levels=2, t_steps=1, hidden=256, master_seed=5)
+model, _ = train(data, one_hot_encode(data.labels, 10), hyper)
+save_model(model, sys.argv[1])
+print(hashlib.sha256(predict_scores(model, test.x).tobytes()).hexdigest())
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        path = tmp_path / f"threads{threads}.elmb"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append((hashlib.sha256(path.read_bytes()).hexdigest(), done.stdout.strip()))
+    assert digests[0] == digests[1]
 
 
 class TestBoostedModel:
@@ -500,12 +621,14 @@ class TestConcurrentWalk:
 
     def test_threaded_blas_matches_the_serial_sum(self):
         # At this shape numpy's bundled OpenBLAS gives other bits on 2 threads
-        # than on 1, so a product that ran on fewer threads would show.
+        # than on 1.  The scorer pins one thread, so with the caller on 2 it
+        # must give the serial sum on 1 thread, and leave the caller on 2.
         script = """
 import numpy as np
+from elmboost import linalg
 from elmboost.boost import BoostedModel, HyperParams, iter_level_scores
 from elmboost.projection import Activation
-from helpers import level_scores_reference, normalized_rows
+from helpers import blas_threads, level_scores_reference, normalized_rows
 
 rng = np.random.default_rng(43)
 x = normalized_rows(rng, 1000, 784)
@@ -514,9 +637,12 @@ for activation in (Activation.TANH, Activation.SIGN):
     hyper = HyperParams(levels=3, t_steps=1, hidden=784, activation=activation, master_seed=9)
     weights = rng.standard_normal((3, 1, 784, 10))
     jobs.append((BoostedModel(hyper=hyper, weights=weights, num_classes=10, input_width=784), x))
+before = blas_threads()
 items = list(iter_level_scores(jobs))
+assert blas_threads() == before
 for i, (model, x) in enumerate(jobs):
-    expected = [scores for _, scores in level_scores_reference(model, x)]
+    with linalg.one_blas_thread():
+        expected = [scores for _, scores in level_scores_reference(model, x)]
     got = [scores for j, _, scores in items if j == i]
     assert len(got) == len(expected) == 3
     for a, b in zip(got, expected):

@@ -125,8 +125,8 @@ class TestTrainCommand:
         self, data_dir, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            linalg, "ridge_solve",
-            lambda h, y, lam: np.full((h.shape[1], y.shape[1]), np.nan),
+            linalg, "factor_solve",
+            lambda factor, rhs: np.full((factor.shape[0], rhs.shape[1]), np.nan),
         )
         assert main(train_args(data_dir, tmp_path)) == 3
         assert not (tmp_path / "model.elmb").exists()

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra kernels, checked against naive oracles."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -8,9 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elmboost.linalg import NotPositiveDefiniteError, cholesky_solve, gram, ridge_solve
+from elmboost import linalg
+from elmboost.linalg import (
+    NotPositiveDefiniteError,
+    cholesky_solve,
+    factor_solve,
+    gram,
+    ridge_factor,
+    ridge_solve,
+)
 
-from helpers import gauss_jordan_solve, naive_matmul
+from helpers import (
+    blas_threads,
+    gauss_jordan_solve,
+    naive_matmul,
+    needs_ctypes_lapack,
+    set_blas_threads,
+)
 
 
 class TestGram:
@@ -134,19 +149,21 @@ class TestRidgeSolve:
 
 
 
-def test_lapack_is_imported_by_the_first_solve():
-    # scipy.linalg costs about 28 MB of resident memory; scoring never solves
+@needs_ctypes_lapack
+def test_training_never_imports_scipy_linalg():
+    # scipy.linalg costs 25-29 MB of resident memory for two LAPACK calls
     script = """
 import sys
 import elmboost, elmboost.cli
 assert "scipy.linalg" not in sys.modules, "importing elmboost imported scipy.linalg"
 import numpy as np
-from elmboost import HyperParams, RawDataset, normalize, one_hot_encode, train
+from elmboost import HyperParams, RawDataset, linalg, normalize, one_hot_encode, train
 images = np.random.default_rng(0).integers(0, 256, (20, 6), dtype=np.uint8)
 data = normalize(RawDataset(images=images, labels=np.arange(20) % 2, num_classes=2))
-model, _ = train(data, one_hot_encode(data.labels, 2), HyperParams(t_steps=1, levels=1, hidden=4))
+model, _ = train(data, one_hot_encode(data.labels, 2), HyperParams(t_steps=2, levels=2, hidden=4))
 assert np.isfinite(model.weights).all()
-assert "scipy.linalg" in sys.modules
+assert linalg._lapack().via == "ctypes"
+assert "scipy.linalg" not in sys.modules, "training imported scipy.linalg"
 """
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -154,3 +171,178 @@ assert "scipy.linalg" in sys.modules
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+def _spd(rng, n, lam=0.5):
+    h = rng.standard_normal((n + 7, n))
+    g = gram(h)
+    g[np.diag_indices_from(g)] += lam
+    return g
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# (order, right-hand sides): past OpenBLAS's blocking edges and below them
+LAPACK_SHAPES = [(1, 1), (2, 3), (3, 1), (7, 2), (16, 10), (31, 4), (64, 1), (65, 10),
+                 (128, 3), (200, 7), (257, 10), (511, 2)]
+
+
+@needs_ctypes_lapack
+class TestCtypesLapack:
+    """The ctypes binding gives scipy.linalg.lapack's bits: it is the same function."""
+
+    def test_picked_where_the_symbols_resolve(self):
+        assert linalg._lapack().via == "ctypes"
+
+    @pytest.mark.parametrize("n, k", LAPACK_SHAPES)
+    def test_factor_and_solve_match_scipy_bitwise(self, n, k):
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        rng = np.random.default_rng(n * 100 + k)
+        a = _spd(rng, n)
+        b = rng.standard_normal((n, k))
+        want, info = dpotrf(a, lower=1)
+        assert info == 0
+        c = np.asfortranarray(a.copy())
+        assert linalg._lapack().potrf(c) == 0
+        assert np.array_equal(_bits(np.tril(c)), _bits(want))
+        z, info = linalg._lapack().potrs(c, b)
+        assert info == 0
+        want_z, _ = dpotrs(want, b, lower=1)
+        assert np.array_equal(_bits(z), _bits(want_z))
+        assert z.flags.f_contiguous == want_z.flags.f_contiguous
+
+    @pytest.mark.parametrize("n, pivot", [(1, 0), (3, 1), (8, 7), (40, 17), (300, 250)])
+    def test_failing_pivot_matches_scipy(self, n, pivot):
+        from scipy.linalg.lapack import dpotrf
+
+        rng = np.random.default_rng(n)
+        a = _spd(rng, n)
+        a[pivot, pivot] = -1.0
+        want = dpotrf(a, lower=1)[1]
+        assert want > 0
+        assert linalg._lapack().potrf(np.asfortranarray(a.copy())) == want
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            cholesky_solve(a, np.ones((n, 1)))
+        assert excinfo.value.pivot_index == want - 1
+
+    @pytest.mark.parametrize("n, k", LAPACK_SHAPES[::3])
+    def test_ridge_solve_matches_scipy_bitwise(self, n, k):
+        # the parent formula: dpotrf on a copy of HᵀH + λI, then dpotrs on HᵀY
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        rng = np.random.default_rng(n + k)
+        h = rng.standard_normal((n + 9, n))
+        y = rng.standard_normal((n + 9, k))
+        g = gram(h)
+        g[np.diag_indices_from(g)] += 0.3
+        want = dpotrs(dpotrf(g, lower=1)[0], h.T @ y, lower=1)[0]
+        got = ridge_solve(h, y, 0.3)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestRidgeFactor:
+    @pytest.mark.parametrize("n, j", [(5, 3), (40, 17), (300, 200), (129, 64)])
+    def test_gram_exactly_symmetric_and_c_ordered(self, n, j):
+        # ridge_factor hands gram's transpose to LAPACK as the same matrix
+        g = gram(np.random.default_rng(j).standard_normal((n, j)))
+        assert g.flags.c_contiguous
+        assert np.array_equal(_bits(g), _bits(g.T))
+
+    def test_factors_the_gram_in_place(self):
+        rng = np.random.default_rng(12)
+        c = ridge_factor(rng.standard_normal((30, 9)), 0.5)
+        assert c.flags.f_contiguous and c.base is not None and c.base.flags.c_contiguous
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 3.0])
+    def test_one_shot_solve_is_the_composition(self, lam):
+        rng = np.random.default_rng(13)
+        h = rng.standard_normal((50, 12))
+        y = rng.standard_normal((50, 4))
+        w = factor_solve(ridge_factor(h, lam), h.T @ y)
+        assert np.array_equal(_bits(w), _bits(ridge_solve(h, y, lam)))
+        assert np.array_equal(_bits(w), _bits(cholesky_solve(gram(h) + lam * np.eye(12), h.T @ y)))
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            ridge_factor(np.eye(3), -1.0)
+
+    def test_singular_raises_with_pivot(self):
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            ridge_factor(np.ones((4, 3)), 0.0)
+        assert excinfo.value.pivot_index == 1
+
+    def test_factor_solve_shape_error(self):
+        with pytest.raises(ValueError):
+            factor_solve(ridge_factor(np.eye(3), 1.0), np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            factor_solve(np.ones((3, 2)), np.ones((3, 1)))
+
+    def test_factor_solve_reads_the_factor_in_any_layout(self):
+        # LAPACK reads Fortran order; another layout or dtype is converted first
+        rng = np.random.default_rng(14)
+        c = ridge_factor(rng.standard_normal((20, 6)), 1.0)
+        b = rng.standard_normal((6, 2))
+        want = factor_solve(c, b)
+        for other in (np.ascontiguousarray(c), np.tril(c).astype(np.longdouble)):
+            assert np.array_equal(_bits(factor_solve(other, b)), _bits(want))
+
+    def test_integer_encoding_is_factored_as_float(self):
+        h = np.array([[1, 0], [1, 1], [0, 2]])
+        assert np.array_equal(ridge_factor(h, 0.0), ridge_factor(h.astype(np.float64), 0.0))
+
+
+class TestFallback:
+    def test_missing_symbols_fall_back_to_scipy(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_flapack_path", lambda: None)
+        assert linalg._load_lapack().via == "scipy.linalg.lapack"
+
+    @pytest.mark.parametrize("n, k", LAPACK_SHAPES[::4])
+    def test_both_paths_give_the_same_bits(self, monkeypatch, n, k):
+        rng = np.random.default_rng(n)
+        a, b = _spd(rng, n), rng.standard_normal((n, k))
+        first = cholesky_solve(a, b)
+        monkeypatch.setattr(linalg, "_LAPACK", linalg._scipy_lapack())
+        assert np.array_equal(_bits(cholesky_solve(a, b)), _bits(first))
+
+
+class TestOneBlasThread:
+    """The package's BLAS pin: one thread inside, the caller's count restored after."""
+
+    @pytest.fixture
+    def three_threads(self):
+        """numpy's and LAPACK's OpenBLAS both on 3 threads; yields LAPACK's library path."""
+        lapack = linalg._flapack_path()
+        saved = blas_threads(), blas_threads(lapack)
+        set_blas_threads(3)
+        set_blas_threads(3, lapack)
+        yield lapack
+        set_blas_threads(saved[0])
+        set_blas_threads(saved[1], lapack)
+
+    def test_pins_and_restores(self, three_threads):
+        with linalg.one_blas_thread():
+            assert blas_threads() == 1
+            assert blas_threads(three_threads) == 3
+            with linalg.one_blas_thread(lapack=True):
+                assert blas_threads() == blas_threads(three_threads) == 1
+            assert blas_threads() == 1
+            assert blas_threads(three_threads) == 3
+        assert blas_threads() == blas_threads(three_threads) == 3
+
+    def test_restores_when_the_block_raises(self, three_threads):
+        with pytest.raises(RuntimeError):
+            with linalg.one_blas_thread(lapack=True):
+                raise RuntimeError("inside")
+        assert blas_threads() == blas_threads(three_threads) == 3
+
+    def test_missing_setter_logs_once_and_changes_nothing(self, caplog):
+        count = linalg._ThreadCount("a BLAS without setters", None)
+        with caplog.at_level(logging.WARNING, logger="elmboost.linalg"):
+            for _ in range(2):
+                count.hold()
+                count.release()
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+            "a BLAS without setters exports no OpenBLAS thread setter"
+        ]
