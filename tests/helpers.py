@@ -1,8 +1,10 @@
 """Shared builders and independent oracles for the test suite."""
 
+import contextlib
 import ctypes
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -284,3 +286,36 @@ def model_file_reference(model) -> bytes:
         for t in range(hyper.t_steps):
             body += np.asarray(model.weights[lv][t], dtype="<f8").tobytes(order="C")
     return body + struct.pack("<Q", crc64_reference(body))
+
+
+needs_mkfifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+
+
+@contextlib.contextmanager
+def fifo_writer(path, data: bytes):
+    """Make a FIFO at path and feed it data from a thread while the block runs.
+
+    The reader may stop early: the writer then ends on a broken pipe.  On
+    exit the writer must have finished within a few seconds.
+    """
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join(timeout=5)
+        if thread.is_alive():
+            # Nothing opened the FIFO, so the writer still waits in open: read it dry.
+            with open(path, "rb") as f:
+                f.read()
+            thread.join(timeout=5)
+        assert not thread.is_alive()

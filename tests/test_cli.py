@@ -11,7 +11,7 @@ from elmboost.cli import main
 from elmboost.dataset import write_idx_images, write_idx_labels
 from elmboost.model_store import crc64
 
-from helpers import separable_images
+from helpers import fifo_writer, needs_mkfifo, separable_images
 
 
 def read_csv(path):
@@ -229,6 +229,20 @@ class TestCurveCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @needs_mkfifo
+    def test_piped_model_exits_2_naming_the_cause(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        fifo = tmp_path / "pipe.elmb"
+        with fifo_writer(fifo, (tmp_path / "model.elmb").read_bytes()):
+            code = main([
+                "curve", "--dataset-dir", str(data_dir), "--classes", "3",
+                "--model", str(fifo), "--out", str(tmp_path / "c.csv"),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a regular file" in err and "Traceback" not in err
 
 
 class TestNoiseCommand:

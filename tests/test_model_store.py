@@ -1,13 +1,17 @@
 """Tests for the binary model format: layout, checksums, round-trips."""
 
 import ctypes
+import dataclasses
+import errno
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from elmboost import model_store
-from elmboost.boost import HyperParams, predict_scores, train
+from elmboost.boost import BoostedModel, HyperParams, predict_scores, train
 from elmboost.dataset import one_hot_encode
 from elmboost.model_store import (
     HEADER_SIZE,
@@ -22,7 +26,7 @@ from elmboost.model_store import (
 )
 from elmboost.projection import Activation
 
-from helpers import crc64_reference, make_dataset, needs_lzma_crc64
+from helpers import crc64_reference, fifo_writer, make_dataset, needs_lzma_crc64, needs_mkfifo
 
 
 @pytest.fixture
@@ -277,3 +281,151 @@ class TestFormatErrors:
         rewrite(path, poison_weight)
         with pytest.raises(ModelFormatError, match="non-finite"):
             load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("index", [0, 1, 29, 59])
+    def test_non_finite_weight_anywhere_in_the_grid(self, small_model, tmp_path, bad, index):
+        model, _ = small_model
+        assert model.weights.size == 60
+        path = tmp_path / "m.elmb"
+        save(model, path)
+
+        def poison_weight(blob):
+            offset = HEADER_SIZE + 8 * index
+            blob[offset : offset + 8] = struct.pack("<d", bad)
+            refresh_crc(blob)
+
+        rewrite(path, poison_weight)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load(path)
+
+
+def fresh_bytes(model, tmp_path):
+    path = tmp_path / "fresh.elmb"
+    save(model, path)
+    return path.read_bytes()
+
+
+class TestOverwrite:
+    @pytest.mark.parametrize("size_delta", [-500, -1, 0, 1, 4096], ids=lambda d: f"{d:+d}")
+    def test_over_an_existing_file_equals_a_fresh_save(self, small_model, tmp_path, size_delta):
+        model, _ = small_model
+        expected = fresh_bytes(model, tmp_path)
+        path = tmp_path / "m.elmb"
+        path.write_bytes(b"\xa5" * (len(expected) + size_delta))
+        save(model, path)
+        assert path.read_bytes() == expected
+
+    def test_through_a_symlink_rewrites_the_target(self, small_model, tmp_path):
+        model, _ = small_model
+        expected = fresh_bytes(model, tmp_path)
+        target = tmp_path / "target.elmb"
+        target.write_bytes(b"\xa5" * (3 * len(expected)))
+        link = tmp_path / "link.elmb"
+        link.symlink_to(target)
+        save(model, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+
+    def test_to_dev_null(self, small_model):
+        model, _ = small_model
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull} here")
+        save(model, os.devnull)
+
+    @pytest.mark.parametrize("old", ["absent", "shorter", "same-shape", "longer"])
+    def test_save_failing_mid_weights_leaves_a_rejected_file(
+        self, small_model, tmp_path, monkeypatch, old
+    ):
+        model, _ = small_model
+        path = tmp_path / "m.elmb"
+        if old != "absent":
+            # another model's file: fewer, as many or more levels than the one saved over it
+            levels = {"shorter": 1, "same-shape": 2, "longer": 3}[old]
+            hyper = dataclasses.replace(model.hyper, levels=levels)
+            grid = np.full((levels, hyper.t_steps, hyper.hidden, model.num_classes), 0.25)
+            other = BoostedModel(
+                hyper=hyper, weights=grid, num_classes=model.num_classes,
+                input_width=model.input_width,
+            )
+            save(other, path)
+        written = []
+        write_all = model_store._write_all
+
+        def torn(fd, data):
+            written.append(data.nbytes)
+            if len(written) == 2:
+                # half the weights reach the file, then the device fills up
+                write_all(fd, data[: data.nbytes // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_all(fd, data)
+
+        monkeypatch.setattr(model_store, "_write_all", torn)
+        with pytest.raises(OSError):
+            save(model, path)
+        assert written[0] == HEADER_SIZE
+        with pytest.raises(ModelFormatError):
+            load(path)
+
+
+def traced_peak(call):
+    """call's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestAllocations:
+    """save and load move the payload between the file and the grid without copies."""
+
+    @pytest.fixture
+    def persist_model(self):
+        # the benchmark's persist shape: a 2.5 MB weight grid
+        hyper = HyperParams(levels=8, t_steps=5, hidden=784, master_seed=3)
+        weights = np.random.default_rng(3).standard_normal((8, 5, 784, 10))
+        return BoostedModel(hyper=hyper, weights=weights, num_classes=10, input_width=784)
+
+    def test_save_allocates_no_payload_copy(self, persist_model, tmp_path):
+        payload = persist_model.weights.nbytes
+        _, peak = traced_peak(lambda: save(persist_model, tmp_path / "m.elmb"))
+        assert peak < 64 * 1024 < payload // 16
+
+    def test_load_allocates_the_grid_once(self, persist_model, tmp_path):
+        path = tmp_path / "m.elmb"
+        save(persist_model, path)
+        payload = persist_model.weights.nbytes
+        loaded, peak = traced_peak(lambda: load(path))
+        assert np.array_equal(loaded.weights, persist_model.weights)
+        # at least the grid itself, so the bound below is not vacuous
+        assert payload <= peak < payload + 64 * 1024
+
+    def test_huge_declared_grid_is_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.elmb"
+        most = 2**32 - 1
+        header = struct.pack(
+            "<4sIIQddIIIIIB", b"ELMB", 1, 0, 0, 1.0, 0.5, most, most, most, 784, most, 0
+        )
+        path.write_bytes(header + bytes(8))
+        assert path.stat().st_size == HEADER_SIZE + 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedError):
+                load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+
+@needs_mkfifo
+class TestNonRegularFile:
+    def test_fifo_is_refused_naming_the_cause(self, small_model, tmp_path):
+        model, _ = small_model
+        fifo = tmp_path / "pipe.elmb"
+        with fifo_writer(fifo, fresh_bytes(model, tmp_path)):
+            with pytest.raises(ModelFormatError, match="not a regular file"):
+                load(fifo)

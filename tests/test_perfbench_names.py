@@ -70,5 +70,7 @@ def test_save_and_load_checksum_through_the_traced_name(monkeypatch, tmp_path):
     path = tmp_path / "m.elmb"
     elmboost.model_store.save(model, path)
     elmboost.model_store.load(path)
+    # header, then the weights chained onto it: once by save, once by load
     payload = path.stat().st_size - 8
-    assert calls == [payload, payload]
+    header = elmboost.model_store.HEADER_SIZE
+    assert calls == [header, payload - header, header, payload - header]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from elmboost import model_store, projection
 from elmboost.boost import BoostedModel, HyperParams
@@ -144,6 +145,32 @@ class TestSignOfTanh:
         from_tanh = activate(activate(z.copy(), Activation.TANH), Activation.SIGN)
         direct = activate(z, Activation.SIGN)
         assert np.array_equal(from_tanh.view(np.uint64), direct.view(np.uint64))
+
+
+def _sign_by_where(z: np.ndarray) -> np.ndarray:
+    """The sign activation in its plain form, the oracle for the in-place one."""
+    return np.where(z >= 0.0, 1.0, -1.0)
+
+
+class TestSignActivation:
+    @given(
+        z=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(max_dims=2, max_side=40),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    @example(z=np.array(_signed_extremes + [float("nan"), -float("nan")]))
+    def test_matches_the_where_form_bitwise(self, z):
+        expected = _sign_by_where(z)
+        got = activate(z, Activation.SIGN)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_tanh_encoding_matches_the_where_form_bitwise(self):
+        z = np.tanh(np.random.default_rng(4).standard_normal((1000, 784)))
+        got = activate(z, Activation.SIGN)
+        assert np.array_equal(got.view(np.uint64), _sign_by_where(z).view(np.uint64))
 
 
 hyper_params = st.builds(
