@@ -1,9 +1,9 @@
 """Multi-level, multi-step ridge boosting on random-projection encodings.
 
-Training runs a single logical sequence over (level, step) pairs.  Each step
+Training runs a single logical sequence over (level, step) slots.  Each step
 fits one closed-form ridge regression of the hidden encoding against the
 current residual, then discounts the residual by alpha times the step's
-fit.  Levels matter in two ways only: each (level, step) pair seeds its own
+fit.  Levels matter in two ways only: each (level, step) slot seeds its own
 projection matrix, and held-out accuracy is reported once per level.
 """
 
@@ -14,14 +14,13 @@ import itertools
 import logging
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from . import linalg
+from . import lanes, linalg
 from .dataset import Dataset
 from .projection import Activation, ProjectionSpec, activate, encode, generate_projection
 
@@ -139,12 +138,16 @@ def train(
 
     Only HᵀY, the triangular solves and H·W read the residual.  The rest of
     a slot (projection, encoding, Gram + λ and its Cholesky factor) is a
-    pure function of the slot, so one worker thread computes it for every
-    other slot while the calling thread computes it for the slot before;
-    the calling thread then solves the slots in order, so every bit is that
-    of the serial walk.  Two N×J encodings are alive at once.  BLAS runs on
-    one thread throughout (linalg.one_blas_thread) and the worker is joined
-    before train returns or raises.
+    pure function of the slot, so the slots are walked on two lanes
+    (lanes.in_order): the calling thread and one worker thread each take
+    the lowest slot nobody has taken, factor it, wait until the slot before
+    is solved, then solve theirs against the residual and update it (HᵀY,
+    the triangular solves, H·W, the weight store and the norm) on their own
+    thread.  The solves run in slot order, so every bit is that of the
+    serial walk.  Two N×J encodings are alive at once.  BLAS runs on one
+    thread throughout (linalg.one_blas_thread), an error names the first
+    failing slot in order, and the worker is joined before train returns or
+    raises.
 
     Parameters
     ----------
@@ -172,24 +175,28 @@ def train(
     residual = targets.copy()
     residual_norms = np.zeros((hyper.levels, hyper.t_steps))
     weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, k))
+
+    def solve(slot: tuple[int, int], factored) -> None:
+        nonlocal residual  # updated in place
+        lv, t = slot
+        h, factor = factored
+        w = linalg.factor_solve(factor, h.T @ residual)
+        if not np.isfinite(w).all():
+            raise FloatingPointError(
+                f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
+            )
+        # The update multiplies by the solver's own w, not its stored copy:
+        # BLAS may round a product differently for another operand layout.
+        residual -= hyper.alpha * (h @ w)
+        weights[lv, t] = w
+        residual_norms[lv, t] = np.linalg.norm(residual)
+        if t == hyper.t_steps - 1:
+            log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
+
     work = functools.partial(_slot_factor, x, spec, hyper)
-    with linalg.one_blas_thread(lapack=True), _one_worker() as pool:
-        for (lv, t), (h, factor) in _in_pairs(pool, work, _slots(hyper)):
-            w = linalg.factor_solve(factor, h.T @ residual)
-            if not np.isfinite(w).all():
-                raise FloatingPointError(
-                    f"ridge solve gave non-finite weights at boosting level {lv}, step {t}"
-                )
-            # The update multiplies by the solver's own w, not its stored copy:
-            # BLAS may round a product differently for another operand layout.
-            residual -= hyper.alpha * (h @ w)
-            # Dropped before the walk resumes: with the two slots it then
-            # computes, a third encoding would be alive.
-            del h, factor
-            weights[lv, t] = w
-            residual_norms[lv, t] = np.linalg.norm(residual)
-            if t == hyper.t_steps - 1:
-                log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
+    with linalg.one_blas_thread(lapack=True):
+        for _ in lanes.in_order(_slots(hyper), work, solve):
+            pass  # solve returns nothing; the walk runs to its end
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
     return model, TrainReport(residual_norms=residual_norms)
@@ -257,58 +264,48 @@ def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tup
     return terms
 
 
-@contextmanager
-def _one_worker() -> Iterator[ThreadPoolExecutor]:
-    """A single-worker pool for _in_pairs, joined on exit; a slot not yet started is dropped."""
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _group_walk(jobs, groups: list[list[int]]) -> Iterator[list[tuple[int, int, np.ndarray]]]:
+    """Per level and group, [(job, level, scores)], from one slot walk over every group.
 
-
-def _in_pairs(pool: ThreadPoolExecutor, work: Callable, slots: Iterator) -> Iterator[tuple]:
-    """(slot, work(slot)) for every slot, in order.
-
-    Slots go in pairs: the pool's worker computes the second of each pair
-    while this thread computes the first, so two results are alive at once.
-    A consumer that drops each result before asking for the next keeps it
-    at two.  An error surfaces in slot order; a consumer that stops early
-    leaves at most one slot in flight.
+    A group's models agree on seed, widths, levels and steps, so each of its
+    slots' terms serve all its jobs.  The slots go level-major: level lv of
+    every group, group by group, before level lv + 1 of any.  Each slot's
+    terms are a pure function of the slot, so two lanes compute them
+    (lanes.in_order); each lane adds its slot's terms to the scores in slot
+    order, on its own thread, which fixes every bit, and emits the group's
+    level scores at the level's last step.
     """
-    slots = iter(slots)
-    for here, ahead in itertools.zip_longest(slots, slots):
-        if ahead is None:
-            yield here, work(here)
-            return
-        future = pool.submit(work, ahead)
-        yield here, work(here)
-        yield ahead, future.result()
-        del future  # it holds the result until the next pair would start
+    shared = []
+    for members in groups:
+        first = jobs[members[0]][0]
+        by_input: dict[int, list[int]] = {}
+        for i in members:
+            by_input.setdefault(id(jobs[i][1]), []).append(i)
+        shared.append((first.projection_spec(), first.hyper, list(by_input.values())))
+    slots = (
+        (g, lv, t)
+        for lv in range(max(hyper.levels for _, hyper, _ in shared))
+        for g, (_, hyper, _) in enumerate(shared)
+        if lv < hyper.levels
+        for t in range(hyper.t_steps)
+    )
 
+    def terms(slot: tuple[int, int, int]) -> dict[int, np.ndarray]:
+        g, lv, t = slot
+        spec, _, by_input = shared[g]
+        return _slot_terms(jobs, by_input, spec, (lv, t))
 
-def _group_walk(
-    jobs, members: list[int], pool: ThreadPoolExecutor
-) -> Iterator[list[tuple[int, int, np.ndarray]]]:
-    """Per level, [(job, level, scores)] for jobs whose models share every projection.
-
-    The members' models agree on seed, widths, levels and steps, so one walk
-    over _slots serves them all.  Each slot's terms are a pure function of
-    the slot, so two slots can be computed at once (_in_pairs); this thread
-    adds them to the scores in slot order, which fixes every bit.
-    """
-    first = jobs[members[0]][0]
-    spec, hyper = first.projection_spec(), first.hyper
-    by_input: dict[int, list[int]] = {}
-    for i in members:
-        by_input.setdefault(id(jobs[i][1]), []).append(i)
-    work = functools.partial(_slot_terms, jobs, list(by_input.values()), spec)
     scores: dict[int, np.ndarray] = {}
-    for (lv, t), terms in _in_pairs(pool, work, _slots(hyper)):
-        for i, term in terms.items():
+
+    def add(slot: tuple[int, int, int], slot_terms: dict[int, np.ndarray]):
+        g, lv, t = slot
+        for i, term in slot_terms.items():
             scores[i] = term if i not in scores else scores[i] + term
-        if t == hyper.t_steps - 1:
-            yield [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in members]
+        if t == shared[g][1].t_steps - 1:
+            return [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in groups[g]]
+        return None
+
+    return lanes.in_order(slots, terms, add)
 
 
 def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
@@ -326,8 +323,11 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     score is bitwise the one a separate call gives, and every item of level
     lv comes before level lv + 1.
 
-    The call runs one worker thread, which computes every other (level,
-    step) slot while the calling thread computes the slot before it.  The
+    The call walks every (level, step) slot of every group once, on two
+    lanes: the calling thread, while the generator runs, and one worker
+    thread, which keeps walking while the generator is suspended.  Each
+    computes the slot nobody has taken yet and adds its terms in slot
+    order (lanes.in_order), so at most two slots' terms are alive.  The
     worker is joined when the generator finishes, raises or is closed.
     numpy's BLAS is held at one thread for as long as the walk is open.
     """
@@ -338,11 +338,11 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
         hyper = job_model.hyper
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
         groups.setdefault(key, []).append(i)
-    # One worker for every group: two slots at most are computed at once.
-    with linalg.one_blas_thread(), _one_worker() as pool:
-        walks = [_group_walk(jobs, members, pool) for members in groups.values()]
-        for level in itertools.zip_longest(*walks, fillvalue=()):
-            for i, lv, scores in itertools.chain.from_iterable(level):
+    walk = _group_walk(jobs, list(groups.values()))
+    # closed here, not when the frame dies: the worker is joined while BLAS is pinned
+    with linalg.one_blas_thread(), closing(walk):
+        for level in walk:
+            for i, lv, scores in level:
                 yield (lv, scores) if single else (i, lv, scores)
 
 

@@ -1,8 +1,9 @@
 """Experiment command line: train, curve, noise, hash-sim.
 
 Every subcommand writes a CSV with a header row; runs with a fixed --seed
-are byte-reproducible.  Exit codes: 0 success, 1 usage error, 2 I/O or file
-format error, 3 numerical failure.
+are byte-reproducible.  Exit codes: 0 success, 1 usage error (sizes the
+machine cannot allocate included), 2 I/O or file format error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model_store
+from . import lanes, model_store
 from .boost import HyperParams, accuracy, classify, iter_level_scores, predict_scores, train
 from .dataset import (
     IdxError,
@@ -202,8 +203,13 @@ def cmd_noise(args) -> int:
             raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
     model = model_store.load(args.model)
     raw = _load_split(args, "test")
+
+    def noisy(fraction: float):
+        return normalize(zero_pixel_noise(raw, fraction, args.seed))
+
     # Every fraction's input is held at once so that one pass scores them all.
-    inputs = [normalize(zero_pixel_noise(raw, f, args.seed)) for f in args.noise_fraction]
+    # The calling thread and one worker build them in parallel.
+    inputs = list(lanes.in_order(args.noise_fraction, noisy, lambda _, data: data))
     _check_model_matches(model, inputs[0])
     scores = predict_scores([(model, data.x) for data in inputs])
     rows = []
@@ -327,6 +333,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a size the machine cannot hold is a usage error, not a crash
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, IdxError, model_store.ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

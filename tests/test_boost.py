@@ -1,17 +1,20 @@
 """Tests for boosted training, prediction, and classification."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elmboost import boost, linalg
+from elmboost import boost, lanes, linalg
 from elmboost.boost import (
     BoostedModel,
     HyperParams,
@@ -179,7 +182,7 @@ class TestTrain:
         data = make_dataset(rng, 20, 5, 2)
         y = one_hot_encode(data.labels, 2)
         hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=4, master_seed=0)
-        # train solves on each slot's factor in slot order on the calling thread
+        # train solves each slot's factor in slot order, on either thread
         solve = linalg.factor_solve
         calls = []
 
@@ -196,7 +199,7 @@ class TestTrain:
 
 
 class TestOverlappedTrain:
-    """train computes two slots' factors at once and still solves them in slot order."""
+    """train factors two slots at once and still solves them in slot order."""
 
     @pytest.mark.parametrize("activation", [Activation.TANH, Activation.SIGN])
     @pytest.mark.parametrize("levels, t_steps", [(1, 1), (2, 1), (1, 3), (5, 1)])
@@ -220,7 +223,7 @@ class TestOverlappedTrain:
     )
     def test_first_singular_slot_in_order_is_named(self, monkeypatch, failing, first):
         # a zero projection gives a zero encoding, singular at lambda = 0;
-        # slots (0, 1) and (1, 1) are computed on the worker
+        # either thread may factor any slot
         def generate(spec, level, step):
             r = generate_projection(spec, level, step)
             return np.zeros_like(r) if (level, step) in failing else r
@@ -542,8 +545,8 @@ class TestConcurrentWalk:
 
     @pytest.mark.parametrize("levels, t_steps", [(1, 1), (2, 1), (1, 3), (5, 1)])
     def test_every_slot_count_matches_the_serial_sum(self, levels, t_steps):
-        # an odd last slot has no partner; with one step per level a level
-        # ends with the next slot still in flight
+        # one slot leaves the worker nothing to take; with one step per level
+        # a level ends with the next slot still in flight
         rng = np.random.default_rng(40)
         model = _random_model(rng, Activation.TANH, levels=levels, t_steps=t_steps)
         x = normalized_rows(rng, 30, 16)
@@ -655,6 +658,240 @@ for i, (model, x) in enumerate(jobs):
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+
+def _recording_generate(made, caller_delay=0.0, delay=0.0):
+    """generate_projection that records which thread made each slot and sleeps first.
+
+    caller_delay applies on the thread that built the wrapper (the calling
+    thread of the walk), delay on every thread; a delay gives the worker time
+    to start and take slots of its own.
+    """
+    caller = threading.get_ident()
+
+    def generate(spec, level, step):
+        time.sleep(caller_delay if threading.get_ident() == caller else delay)
+        r = generate_projection(spec, level, step)
+        made.append(((level, step), threading.get_ident()))
+        return r
+
+    return generate
+
+
+class TestLanes:
+    """train and the scorer walk the slots on two lanes that finish in slot order."""
+
+    def test_worker_finishing_first_keeps_every_bit(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(
+            boost, "generate_projection", _recording_generate(made, caller_delay=0.05, delay=0.005)
+        )
+        rng = np.random.default_rng(60)
+        data = make_dataset(rng, 60, 12, 3)
+        y = one_hot_encode(data.labels, 3)
+        hyper = HyperParams(lam=0.5, t_steps=3, levels=2, hidden=10, master_seed=8)
+        model, report = train(data, y, hyper)
+        order = [slot for slot, _ in made]
+        # the worker's slot 1 is made before the caller's slot 0: out of order
+        assert sorted(order) == list(itertools.product(range(2), range(3))) != order
+        weights, norms = train_reference(data, y, hyper)
+        assert np.array_equal(_bits(model.weights), _bits(weights))
+        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+
+        made.clear()
+        models = [_random_model(rng, Activation.TANH, levels=3), _random_model(rng, Activation.SIGN, levels=3)]
+        x = normalized_rows(rng, 30, 16)
+        jobs = [(m, x) for m in models]
+        items = list(iter_level_scores(jobs))
+        order = [slot for slot, _ in made]
+        assert sorted(order) != order
+        assert_matches_reference(jobs, items)
+
+    def test_both_threads_solve_in_slot_order(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(boost, "generate_projection", _recording_generate(made, delay=0.01))
+        solved = []
+        solve = linalg.factor_solve
+
+        def recording_solve(factor, rhs):
+            solved.append(threading.get_ident())
+            return solve(factor, rhs)
+
+        monkeypatch.setattr(linalg, "factor_solve", recording_solve)
+        rng = np.random.default_rng(61)
+        data = make_dataset(rng, 60, 12, 3)
+        y = one_hot_encode(data.labels, 3)
+        hyper = HyperParams(lam=0.5, t_steps=2, levels=3, hidden=10, master_seed=9)
+        model, report = train(data, y, hyper)
+        maker = dict(made)
+        # slot i is solved i-th, on the thread that factored it
+        assert solved == [maker[slot] for slot in itertools.product(range(3), range(2))]
+        assert len(set(solved)) == 2
+        weights, norms = train_reference(data, y, hyper)
+        assert np.array_equal(_bits(model.weights), _bits(weights))
+        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+
+    def test_error_in_a_worker_solve_names_its_slot_and_leaves_no_thread(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(boost, "generate_projection", _recording_generate(made, delay=0.01))
+        caller = threading.get_ident()
+        solve = linalg.factor_solve
+
+        def poisoned_solve(factor, rhs):
+            w = solve(factor, rhs)
+            if threading.get_ident() != caller:
+                w[0, 0] = np.nan
+            return w
+
+        monkeypatch.setattr(linalg, "factor_solve", poisoned_solve)
+        rng = np.random.default_rng(62)
+        data = make_dataset(rng, 40, 8, 2)
+        hyper = HyperParams(t_steps=2, levels=2, hidden=6, master_seed=2)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as raised:
+            train(data, one_hot_encode(data.labels, 2), hyper)
+        lv, t = min(slot for slot, ident in made if ident != caller)
+        assert str(raised.value).endswith(f"level {lv}, step {t}")
+        assert threading.active_count() == before
+
+    def test_seed_groups_of_different_depths_walk_level_major(self):
+        rng = np.random.default_rng(63)
+        deep = _random_model(rng, Activation.TANH, seed=3, levels=4, t_steps=2)
+        shallow = _random_model(rng, Activation.SIGN, seed=4, levels=1, t_steps=2)
+        x = normalized_rows(rng, 30, 16)
+        jobs = [(deep, x), (shallow, x)]
+        before = threading.active_count()
+        got = {}
+
+        def walk():
+            got["all"] = list(iter_level_scores(jobs))
+            walk = iter_level_scores(jobs)
+            got["head"] = [next(walk) for _ in range(3)]
+            walk.close()
+
+        runner = threading.Thread(target=walk)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the walk hung"
+        assert threading.active_count() == before
+        assert [(i, lv) for i, lv, _ in got["all"]] == [(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)]
+        for i, model in enumerate((deep, shallow)):
+            separate = list(iter_level_scores(model, x))
+            mine = [(lv, scores) for j, lv, scores in got["all"] if j == i]
+            assert [lv for lv, _ in mine] == [lv for lv, _ in separate]
+            for (_, a), (_, b) in zip(mine, separate):
+                assert np.array_equal(_bits(a), _bits(b))
+        for head, full in zip(got["head"], got["all"], strict=False):
+            assert head[:2] == full[:2] and np.array_equal(_bits(head[2]), _bits(full[2]))
+
+
+class TestInOrder:
+    """lanes.in_order: finishes one at a time in slot order, two results alive at most."""
+
+    def test_finishes_in_order_with_two_results_alive(self):
+        # more threads than cores switching often: a finish out of turn, two
+        # at once or a third live result shows in the records
+        rng = np.random.default_rng(64)
+        delays = rng.uniform(0.0, 0.002, 300)
+        lock = threading.Lock()
+        live = {"now": 0, "peak": 0}
+        finishing, finished, threads = [], [], set()
+
+        class Result:
+            pass
+
+        def released():
+            with lock:
+                live["now"] -= 1
+
+        def work(slot):
+            time.sleep(delays[slot])
+            result = Result()
+            with lock:
+                live["now"] += 1
+                live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(result, released)
+            return result
+
+        def finish(slot, result):
+            finishing.append(slot)
+            assert finishing == [slot], "two finishes at once"
+            threads.add(threading.get_ident())
+            finished.append(slot)
+            finishing.pop()
+            return slot if slot % 7 == 0 else None
+
+        got = {}
+
+        def walk():
+            got["out"] = list(lanes.in_order(range(300), work, finish))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=walk)] + [
+                threading.Thread(target=sum, args=(range(2_000_000),)) for _ in range(2)
+            ]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        assert finished == list(range(300))
+        assert got["out"] == list(range(0, 300, 7))
+        assert len(threads) == 2
+        assert live["peak"] <= 2
+
+    @pytest.mark.parametrize(
+        "bad_work, bad_finish, first",
+        [({3}, set(), 3), (set(), {3}, 3), ({5}, {3}, 3), ({2}, {4}, 2), ({0}, set(), 0)],
+    )
+    def test_first_error_in_slot_order_is_raised_after_earlier_outputs(
+        self, bad_work, bad_finish, first
+    ):
+        def work(slot):
+            time.sleep(0.002 * (slot % 2))  # the two lanes finish their work out of order
+            if slot in bad_work:
+                raise KeyError(slot)
+            return slot
+
+        finished = []
+
+        def finish(slot, result):
+            if slot in bad_finish:
+                raise KeyError(slot)
+            finished.append(slot)
+            return slot
+
+        before = threading.active_count()
+        walk = lanes.in_order(range(8), work, finish)
+        out = []
+        with pytest.raises(KeyError) as raised:
+            for slot in walk:
+                out.append(slot)
+        assert raised.value.args == (first,)
+        assert out == finished == list(range(first))
+        assert threading.active_count() == before
+
+    def test_lazy_slots_are_drawn_as_taken(self):
+        drawn = []
+
+        def slots():
+            for slot in range(10_000):
+                drawn.append(slot)
+                yield slot
+
+        walk = lanes.in_order(slots(), lambda slot: slot, lambda slot, result: result)
+        try:
+            assert [next(walk) for _ in range(5)] == list(range(5))
+            time.sleep(0.1)  # the worker walks on while the consumer pauses, but not far
+        finally:
+            walk.close()
+        # five handed out, at most two more handed to the generator with them,
+        # at most two waiting or in flight
+        assert len(drawn) <= 5 + 2 + 2
 
 
 class TestClassify:

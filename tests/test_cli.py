@@ -1,14 +1,26 @@
 """End-to-end tests of the experiment CLI on small synthetic IDX datasets."""
 
 import csv
+import io
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from elmboost import cli, linalg
+from elmboost import cli, linalg, model_store
+from elmboost.boost import accuracy, classify, predict_scores
 from elmboost.cli import main
-from elmboost.dataset import write_idx_images, write_idx_labels
+from elmboost.dataset import (
+    RawDataset,
+    load_idx_images,
+    load_idx_labels,
+    normalize,
+    write_idx_images,
+    write_idx_labels,
+    zero_pixel_noise,
+)
 from elmboost.model_store import crc64
 
 from helpers import fifo_writer, needs_mkfifo, separable_images
@@ -120,6 +132,24 @@ class TestTrainCommand:
         assert main(train_args(data_dir, tmp_path, **{flag: str(2**32)})) == 1
         assert not (tmp_path / "model.elmb").exists()
         assert "2**32" in capsys.readouterr().err
+
+    def test_weight_grid_the_machine_cannot_hold_exits_1_without_traceback(
+        self, data_dir, tmp_path, capsys
+    ):
+        # At the default L = 8, T = 50 the weight grid needs 8·50·(2**31 - 1)·3·8
+        # bytes, 20.6 PB: far beyond the address space mmap hands out without a
+        # hint (128 TiB on x86-64, 256 TiB on arm64), so the allocation is
+        # refused at once whatever the overcommit policy.
+        model = tmp_path / "model.elmb"
+        code = main([
+            "train", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--hidden", "2147483647", "--model", str(model), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not model.exists()
 
     def test_non_finite_weights_exit_3_without_model(
         self, data_dir, tmp_path, monkeypatch, capsys
@@ -279,6 +309,80 @@ class TestNoiseCommand:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("fractions", [["0.3"], ["0.1", "0.5"], ["0", "0.2", "0.75"]])
+    def test_csv_matches_one_fraction_at_a_time(self, data_dir, tmp_path, fractions):
+        # the inputs are built on two threads; the reference builds and
+        # scores each fraction alone, serially
+        assert main(train_args(data_dir, tmp_path)) == 0
+        out = tmp_path / "noise.csv"
+        assert main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--noise-fraction", *fractions,
+            "--seed", "4", "--out", str(out),
+        ]) == 0
+        test = data_dir / "mnist"
+        raw = RawDataset(
+            images=load_idx_images(test / "t10k-images-idx3-ubyte"),
+            labels=load_idx_labels(test / "t10k-labels-idx1-ubyte"),
+            num_classes=3,
+        )
+        model = model_store.load(tmp_path / "model.elmb")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["noise_fraction", "accuracy"])
+        for text in fractions:
+            data = normalize(zero_pixel_noise(raw, float(text), 4))
+            writer.writerow([float(text), accuracy(classify(predict_scores(model, data.x)), data.labels)])
+        assert out.read_bytes() == expected.getvalue().encode()
+
+    def test_all_constant_warning_of_an_input_built_on_the_worker(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        # fraction 1 zeroes every pixel; the caller's builds are slowed, so the
+        # worker builds at least one of the two inputs
+        assert main(train_args(data_dir, tmp_path)) == 0
+        caller = threading.get_ident()
+        builders = []
+        zero = cli.zero_pixel_noise
+
+        def slow_on_the_caller(raw, fraction, seed):
+            builders.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                time.sleep(0.2)
+            return zero(raw, fraction, seed)
+
+        monkeypatch.setattr(cli, "zero_pixel_noise", slow_on_the_caller)
+        with pytest.warns(RuntimeWarning, match="all-constant") as record:
+            assert main([
+                "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+                "--model", str(tmp_path / "model.elmb"), "--noise-fraction", "1", "1",
+                "--out", str(tmp_path / "n.csv"),
+            ]) == 0
+        assert len(builders) == 2 and any(ident != caller for ident in builders)
+        assert sum("all-constant" in str(w.message) for w in record) == 2
+
+    def test_inputs_are_built_through_the_cli_module_names(self, data_dir, tmp_path, monkeypatch):
+        # perfbench's tracer wraps elmboost.cli.normalize and .zero_pixel_noise
+        assert main(train_args(data_dir, tmp_path)) == 0
+        calls = {"normalize": 0, "zero_pixel_noise": 0}
+        lock = threading.Lock()
+
+        def counting(name, original):
+            def wrapper(*args):
+                with lock:
+                    calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--noise-fraction", "0.1", "0.2", "0.3",
+            "--out", str(tmp_path / "n.csv"),
+        ]) == 0
+        assert calls == {"normalize": 3, "zero_pixel_noise": 3}
 
     def test_bad_fraction_exits_1(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path)) == 0
