@@ -4,6 +4,12 @@ Every subcommand writes a CSV with a header row; runs with a fixed --seed
 are byte-reproducible.  Exit codes: 0 success, 1 usage error (sizes the
 machine cannot allocate included), 2 I/O or file format error, 3 numerical
 failure.
+
+Each input is checked once, where it is used (HyperParams, RawDataset, the
+scorer); main maps the exception type to the exit code and prints one line.
+OSError, IdxError and ModelFormatError exit 2; NotPositiveDefiniteError and
+FloatingPointError exit 3; MemoryError and every other ValueError, numpy's
+"array is too big" included, exit 1.
 """
 
 from __future__ import annotations
@@ -82,17 +88,14 @@ def find_idx_file(dataset_dir, dataset: str, kind: str) -> Path:
     stem spellings, raw or gzipped.
     """
     stem = _IDX_STEMS[kind]
-    candidates = []
-    for base in (Path(dataset_dir) / dataset, Path(dataset_dir)):
+    bases = (Path(dataset_dir) / dataset, Path(dataset_dir))
+    for base in bases:
         for name in (stem, stem.replace("-idx", ".idx")):
             for suffix in ("", ".gz"):
-                candidates.append(base / (name + suffix))
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    raise FileNotFoundError(
-        f"no {stem}[.gz] found under {candidates[0].parent} or {candidates[1].parent}"
-    )
+                path = base / (name + suffix)
+                if path.is_file():
+                    return path
+    raise FileNotFoundError(f"no {stem}[.gz] found under {bases[0]} or {bases[1]}")
 
 
 def _load_split(args, split: str) -> RawDataset:
@@ -106,10 +109,7 @@ def _load_split(args, split: str) -> RawDataset:
             f"{split} image and label files disagree: {images.shape[0]} images, "
             f"{labels.shape[0]} labels"
         )
-    try:
-        return RawDataset(images=images, labels=labels, num_classes=args.classes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return RawDataset(images=images, labels=labels, num_classes=args.classes)
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -121,10 +121,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _check_model_matches(model, data) -> None:
-    if data.x.shape[1] != model.input_width:
-        raise UsageError(
-            f"model expects {model.input_width} input columns, dataset has {data.x.shape[1]}"
-        )
+    # the scorer checks the input width
     if data.num_classes != model.num_classes:
         raise UsageError(
             f"model has {model.num_classes} classes, dataset declares {data.num_classes}"
@@ -144,18 +141,15 @@ def cmd_train(args) -> int:
     data = normalize(raw)
     targets = one_hot_encode(data.labels, data.num_classes)
     hidden = args.hidden if args.hidden is not None else data.x.shape[1]
-    try:
-        hyper = HyperParams(
-            lam=args.lam,
-            alpha=args.alpha,
-            t_steps=args.t_steps,
-            levels=args.levels,
-            hidden=hidden,
-            activation=Activation(args.activation),
-            master_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    hyper = HyperParams(
+        lam=args.lam,
+        alpha=args.alpha,
+        t_steps=args.t_steps,
+        levels=args.levels,
+        hidden=hidden,
+        activation=Activation(args.activation),
+        master_seed=args.seed,
+    )
     log.info(
         "training on %d samples: lambda=%g alpha=%g T=%d L=%d J=%d act=%s seed=%d",
         data.x.shape[0], hyper.lam, hyper.alpha, hyper.t_steps, hyper.levels,
@@ -331,9 +325,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError as exc:
         # a size the machine cannot hold is a usage error, not a crash
         detail = f": {exc}" if str(exc) else ""
@@ -345,6 +336,9 @@ def main(argv=None) -> int:
     except (NotPositiveDefiniteError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

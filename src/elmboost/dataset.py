@@ -1,9 +1,10 @@
 """MNIST-format IDX ingestion, row normalization, targets, and pixel dropout.
 
-IDX files are big-endian: images carry magic 0x00000803 followed by u32
-count/rows/cols and the pixel bytes; labels carry magic 0x00000801, a u32
-count, and the label bytes.  Gzipped files are detected by their leading
-magic bytes and decompressed transparently.
+IDX files are big-endian: a u32 magic, whose low byte is the number of u32
+dimensions that follow it, then the payload bytes.  Images carry magic
+0x00000803 and count/rows/cols; labels carry magic 0x00000801 and a count.
+Gzipped files are detected by their leading magic bytes and decompressed
+transparently.
 """
 
 from __future__ import annotations
@@ -61,17 +62,11 @@ class RawDataset:
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.images.ndim != 2 or self.images.shape[1] < 1:
             raise ValueError(f"images must be N x M with M >= 1, got shape {self.images.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.images.shape[0]:
+        _check_labels(self.labels, self.num_classes)
+        if self.labels.shape[0] != self.images.shape[0]:
             raise ValueError(
                 f"image/label count mismatch: {self.images.shape[0]} images, "
                 f"{self.labels.shape[0]} labels"
-            )
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(
-                f"label out of range: values span [{self.labels.min()}, {self.labels.max()}] "
-                f"but num_classes is {self.num_classes}"
             )
 
 
@@ -90,19 +85,13 @@ class Dataset:
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.x.ndim != 2:
-            raise ValueError(f"samples must be 2-D, got shape {self.x.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.x.shape[0]:
+        if self.x.ndim != 2 or self.x.shape[1] < 1:
+            raise ValueError(f"samples must be N x M with M >= 1, got shape {self.x.shape}")
+        _check_labels(self.labels, self.num_classes)
+        if self.labels.shape[0] != self.x.shape[0]:
             raise ValueError(
                 f"sample/label count mismatch: {self.x.shape[0]} rows, "
                 f"{self.labels.shape[0]} labels"
-            )
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(
-                f"label out of range for {self.num_classes} classes: "
-                f"[{self.labels.min()}, {self.labels.max()}]"
             )
         if self.x.size:
             norms = _row_norms(self.x)
@@ -113,6 +102,16 @@ class Dataset:
                 raise ValueError(
                     f"row {bad} is not normalized: mean {means[bad]:.3e}, norm {norms[bad]:.17g}"
                 )
+
+
+def _check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise ValueError unless labels is 1-D, k >= 1 and every label lies in [0, k)."""
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    if k < 1:
+        raise ValueError(f"num_classes must be >= 1, got {k}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label out of range for {k} classes: [{labels.min()}, {labels.max()}]")
 
 
 def _read_maybe_gzipped(path) -> bytes:
@@ -126,49 +125,47 @@ def _read_maybe_gzipped(path) -> bytes:
     return blob
 
 
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The payload of an IDX file (optionally gzipped) as a read-only uint8 array of its shape.
+
+    The header is magic, then magic & 0xFF u32 dimensions; every dimension
+    after the first must be nonzero.
+    """
+    blob = _read_maybe_gzipped(path)
+    header = 4 + 4 * (magic & 0xFF)
+    if len(blob) < header:
+        raise IdxTruncatedError(f"{path}: header truncated ({len(blob)} bytes)")
+    found, *shape = struct.unpack_from(f">{header // 4}I", blob)
+    if found != magic:
+        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    if 0 in shape[1:]:
+        raise IdxDimensionError(f"{path}: zero dimensions {shape}")
+    expected = math.prod(shape)
+    if expected > _MAX_PAYLOAD:
+        raise IdxDimensionError(f"{path}: declared payload of {expected} bytes is implausible")
+    payload = len(blob) - header
+    if payload < expected:
+        raise IdxTruncatedError(
+            f"{path}: payload truncated, expected {expected} bytes, found {payload}"
+        )
+    if payload > expected:
+        raise IdxError(f"{path}: {payload - expected} trailing bytes after payload")
+    return np.frombuffer(blob, dtype=np.uint8, count=expected, offset=header).reshape(shape)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Load an IDX image file (optionally gzipped) as an N x M uint8 array.
 
     M is rows*cols of the stored image grid, flattened row-major.
     """
-    blob = _read_maybe_gzipped(path)
-    if len(blob) < 16:
-        raise IdxTruncatedError(f"{path}: image header truncated ({len(blob)} bytes)")
-    magic, count, rows, cols = struct.unpack_from(">IIII", blob)
-    if magic != IMAGE_MAGIC:
-        raise IdxMagicError(f"{path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-    if rows == 0 or cols == 0:
-        raise IdxDimensionError(f"{path}: zero image dimensions ({rows}x{cols})")
-    expected = count * rows * cols
-    if expected > _MAX_PAYLOAD:
-        raise IdxDimensionError(f"{path}: declared payload of {expected} bytes is implausible")
-    if len(blob) - 16 < expected:
-        raise IdxTruncatedError(
-            f"{path}: payload truncated, expected {expected} bytes, found {len(blob) - 16}"
-        )
-    if len(blob) - 16 > expected:
-        raise IdxError(f"{path}: {len(blob) - 16 - expected} trailing bytes after payload")
-    data = np.frombuffer(blob, dtype=np.uint8, count=expected, offset=16)
-    return data.reshape(count, rows * cols).copy()
+    images = _read_idx(path, IMAGE_MAGIC)
+    count, rows, cols = images.shape
+    return images.reshape(count, rows * cols).copy()
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Load an IDX label file (optionally gzipped) as an int64 array."""
-    blob = _read_maybe_gzipped(path)
-    if len(blob) < 8:
-        raise IdxTruncatedError(f"{path}: label header truncated ({len(blob)} bytes)")
-    magic, count = struct.unpack_from(">II", blob)
-    if magic != LABEL_MAGIC:
-        raise IdxMagicError(f"{path}: bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}")
-    if count > _MAX_PAYLOAD:
-        raise IdxDimensionError(f"{path}: declared count of {count} labels is implausible")
-    if len(blob) - 8 < count:
-        raise IdxTruncatedError(
-            f"{path}: payload truncated, expected {count} bytes, found {len(blob) - 8}"
-        )
-    if len(blob) - 8 > count:
-        raise IdxError(f"{path}: {len(blob) - 8 - count} trailing bytes after payload")
-    return np.frombuffer(blob, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    return _read_idx(path, LABEL_MAGIC).astype(np.int64)
 
 
 def write_idx_images(images: np.ndarray, path, grid: tuple[int, int] | None = None) -> None:
@@ -246,14 +243,7 @@ def normalize(raw: RawDataset) -> Dataset:
 def one_hot_encode(labels, k: int) -> np.ndarray:
     """N x k {0,1} target matrix with a single 1 per row."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if k < 1:
-        raise ValueError(f"class count must be >= 1, got {k}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(
-            f"label out of range for {k} classes: [{labels.min()}, {labels.max()}]"
-        )
+    _check_labels(labels, k)
     y = np.zeros((labels.shape[0], k))
     y[np.arange(labels.shape[0]), labels] = 1.0
     return y

@@ -241,6 +241,10 @@ def gram(h: np.ndarray) -> np.ndarray:
 
 def _factor(c: np.ndarray) -> None:
     """Overwrite the lower triangle of the F-ordered square c with its Cholesky factor."""
+    # dpotrf reads and writes n x n elements with n = c.shape[0]: a non-square
+    # c would send it past the end of the buffer.
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"Cholesky factorization needs a square matrix, got {c.shape}")
     info = _lapack().potrf(c)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
@@ -273,10 +277,6 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         NotPositiveDefiniteError: a non-positive pivot was hit during the
             factorization; carries the zero-based pivot index.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"cholesky_solve needs a square matrix, got {a.shape}")
-    if b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"cholesky_solve shape mismatch: {a.shape} vs {b.shape}")
     c = np.array(a, dtype=np.float64, order="F")
     _factor(c)
     return factor_solve(c, b)

@@ -357,30 +357,29 @@ def load(path) -> BoostedModel:
             f"computed {actual_crc:#018x})"
         )
 
-    # Validate every size first, so a bad header ends in ModelFormatError.
+    # The model checks every size, so a bad header ends in ModelFormatError
+    # before the weights are checked.  On little-endian hosts the model keeps
+    # the array read into as its grid.
     try:
-        hyper = HyperParams(
-            lam=lam,
-            alpha=alpha,
-            t_steps=t_steps,
-            levels=levels,
-            hidden=hidden,
-            activation=_ACTIVATION_FROM_CODE[act_code],
-            master_seed=master_seed,
+        model = BoostedModel(
+            hyper=HyperParams(
+                lam=lam,
+                alpha=alpha,
+                t_steps=t_steps,
+                levels=levels,
+                hidden=hidden,
+                activation=_ACTIVATION_FROM_CODE[act_code],
+                master_seed=master_seed,
+            ),
+            weights=weights,
+            num_classes=num_classes,
+            input_width=input_width,
         )
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: invalid hyperparameters: {exc}") from exc
-    if num_classes < 1 or input_width < 1:
-        raise ModelFormatError(
-            f"{path}: class count {num_classes} and input width {input_width} must be >= 1"
-        )
+        raise ModelFormatError(f"{path}: invalid header: {exc}") from exc
 
     # min and max propagate NaN and reach any infinity, so they check every
     # weight without allocating a mask of one byte per weight.
     if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
         raise ModelFormatError(f"{path}: weight grid holds non-finite values")
-    # astype is a no-op on little-endian hosts: the array read into is the model's grid
-    weights = weights.astype(np.float64, copy=False)
-    return BoostedModel(
-        hyper=hyper, weights=weights, num_classes=num_classes, input_width=input_width
-    )
+    return model

@@ -87,6 +87,11 @@ class TestHyperParams:
         assert getattr(HyperParams(**{name: largest}), name) == largest
         assert getattr(HyperParams(**{name: np.int64(3)}), name) == 3
 
+    @pytest.mark.parametrize("activation", ["tanh", 0, None])
+    def test_activation_must_be_an_activation(self, activation):
+        with pytest.raises(ValueError, match="activation"):
+            HyperParams(activation=activation)
+
 
 class TestTrain:
     def test_plain_elm_reduction_bitwise(self):
@@ -166,8 +171,25 @@ class TestTrain:
     def test_target_shape_mismatch(self):
         rng = np.random.default_rng(6)
         data = make_dataset(rng, 20, 5, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="targets must be 2-D"):
             train(data, np.zeros((19, 2)), HyperParams(t_steps=1, levels=1, hidden=4))
+
+    @pytest.mark.parametrize("shape", [(20,), (21, 2)])
+    def test_flat_or_longer_targets_rejected(self, shape):
+        rng = np.random.default_rng(6)
+        data = make_dataset(rng, 20, 5, 2)
+        with pytest.raises(ValueError, match="targets must be 2-D"):
+            train(data, np.zeros(shape), HyperParams(t_steps=1, levels=1, hidden=4))
+
+    def test_integer_targets_are_converted(self):
+        rng = np.random.default_rng(7)
+        data = make_dataset(rng, 20, 5, 2)
+        y = one_hot_encode(data.labels, 2)
+        hyper = HyperParams(t_steps=2, levels=2, hidden=4, master_seed=1)
+        model, report = train(data, y.astype(np.int64), hyper)
+        want_model, want_report = train(data, y, hyper)
+        assert np.array_equal(_bits(model.weights), _bits(want_model.weights))
+        assert np.array_equal(report.residual_norms, want_report.residual_norms)
 
     def test_cholesky_failure_carries_level_and_step(self):
         # all-zero samples give a zero Gram matrix, unsolvable at lambda = 0
@@ -333,6 +355,15 @@ class TestBoostedModel:
                 hyper=self.hyper, weights=np.ones(shape), num_classes=5, input_width=7
             )
 
+    @pytest.mark.parametrize("num_classes, input_width", [(0, 7), (5, 0)])
+    def test_sizes_below_one_rejected(self, num_classes, input_width):
+        # the grid matches the declared class count, so only the size check objects
+        with pytest.raises(ValueError, match="must be >= 1"):
+            BoostedModel(
+                hyper=self.hyper, weights=np.ones((2, 3, 4, num_classes)),
+                num_classes=num_classes, input_width=input_width,
+            )
+
 
 class TestPredict:
     def test_zero_weights_give_zero_scores(self):
@@ -387,6 +418,13 @@ class TestPredict:
         )
         with pytest.raises(ValueError, match="width mismatch"):
             predict_scores(model, np.zeros((3, 7)))
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 15)), np.zeros(16), np.zeros((3, 16, 1))])
+    def test_bad_input_shape_rejected_before_any_projection(self, calls, x):
+        model = _random_model(np.random.default_rng(9), Activation.TANH)
+        with pytest.raises(ValueError, match="width mismatch"):
+            predict_scores(model, x)
+        assert calls == {"generate": 0, "encode": 0}
 
     def test_bad_level_bounds(self):
         rng = np.random.default_rng(10)
@@ -917,6 +955,9 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.zeros((0, 3)))
 
+    def test_nested_lists(self):
+        assert classify([[0.1, 0.9, 0.2], [0.7, 0.1, 0.2]]).tolist() == [1, 0]
+
 
 class TestAccuracy:
     def test_identical(self):
@@ -934,6 +975,20 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([1, 2], [1, 2, 3])
+
+    def test_one_label_is_not_broadcast(self):
+        # numpy would compare the one truth against all three predictions
+        with pytest.raises(ValueError, match="length mismatch"):
+            accuracy(np.array([1, 1, 1]), np.array([1]))
+
+    @pytest.mark.parametrize("predicted, truth", [([], []), (np.array([]), np.array([]))])
+    def test_empty_rejected(self, predicted, truth):
+        with pytest.raises(ValueError, match="empty"):
+            accuracy(predicted, truth)
+
+    def test_lists_and_arrays_mix(self):
+        assert accuracy(np.array([1, 2, 3, 4]), [1, 2, 0, 4]) == 0.75
+        assert accuracy([1, 2, 3, 4], np.array([1, 2, 0, 4])) == 0.75
 
 
 def test_desk_scale_digits_accuracy():

@@ -82,6 +82,13 @@ class TestTrainCommand:
         assert main(train_args(data_dir, tmp_path)) == 2
         assert "train-labels-idx1-ubyte" in capsys.readouterr().err
 
+    def test_missing_files_name_both_directories_searched(self, tmp_path, capsys):
+        root = tmp_path / "nothing"
+        assert main(train_args(root, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: no train-images-idx3-ubyte[.gz] found under {root / 'mnist'} or {root}\n"
+        )
+
     def test_same_seed_byte_identical_outputs(self, data_dir, tmp_path):
         argv_a = train_args(data_dir, tmp_path)
         assert main(argv_a) == 0
@@ -105,6 +112,13 @@ class TestTrainCommand:
 
     def test_bad_subset_exits_1(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path, **{"--train-subset": "0"})) == 1
+
+    @pytest.mark.parametrize("subset", ["0", "-1"])
+    def test_bad_subset_is_named_and_writes_no_model(self, data_dir, tmp_path, capsys, subset):
+        # a negative subset would slice rows off the end and train on the rest
+        assert main(train_args(data_dir, tmp_path, **{"--train-subset": subset})) == 1
+        assert capsys.readouterr().err == "error: --train-subset must be >= 1\n"
+        assert not (tmp_path / "model.elmb").exists()
 
     def test_singular_unregularized_solve_exits_3(self, data_dir, tmp_path, capsys):
         # 5 samples cannot support an unregularized 16-wide Gram matrix
@@ -149,6 +163,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert not model.exists()
+
+    def test_sizes_numpy_cannot_index_exit_1_without_traceback(self, data_dir, tmp_path, capsys):
+        # every size fits the model header, but L·T residual norms alone overflow
+        # numpy's size limit: numpy raises ValueError("array is too big"), not MemoryError
+        model = tmp_path / "model.elmb"
+        most = str(2**32 - 1)
+        code = main(train_args(
+            data_dir, tmp_path, **{"--levels": most, "--t-steps": most, "--hidden": most}
+        ))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: array is too big") and err.count("\n") == 1, err
         assert not model.exists()
 
     def test_non_finite_weights_exit_3_without_model(
@@ -220,6 +247,34 @@ class TestCurveCommand:
         header, rows = read_csv(out)
         assert header == ["level", "accuracy_tanh", "accuracy_sign"]
         assert len(rows) == 2 and len(rows[0]) == 3
+
+    def test_class_count_mismatch_exits_1(self, data_dir, tmp_path, capsys):
+        # the 3-class labels are valid for 4 classes, so only the model check objects
+        assert main(train_args(data_dir, tmp_path)) == 0
+        out = tmp_path / "c.csv"
+        code = main([
+            "curve", "--dataset-dir", str(data_dir), "--classes", "4",
+            "--model", str(tmp_path / "model.elmb"), "--out", str(out),
+        ])
+        assert code == 1
+        assert "classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_models_differing_in_levels_exit_1(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        deeper = tmp_path / "deeper.elmb"
+        assert main(train_args(
+            data_dir, tmp_path,
+            **{"--activation": "sign", "--levels": "3", "--model": str(deeper)},
+        )) == 0
+        out = tmp_path / "c.csv"
+        code = main([
+            "curve", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), str(deeper), "--out", str(out),
+        ])
+        assert code == 1
+        assert "levels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_models_same_activation_exits_1(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path)) == 0

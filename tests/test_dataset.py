@@ -124,6 +124,18 @@ class TestLoadLabels:
         with pytest.raises(IdxTruncatedError):
             load_idx_labels(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short"
+        path.write_bytes(struct.pack(">I", LABEL_MAGIC) + b"\x00")
+        with pytest.raises(IdxTruncatedError):
+            load_idx_labels(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long"
+        path.write_bytes(struct.pack(">II", LABEL_MAGIC, 2) + bytes([1, 0]) + b"extra")
+        with pytest.raises(IdxError, match="5 trailing bytes"):
+            load_idx_labels(path)
+
     def test_out_of_range_label_fails_at_pairing(self):
         images = np.zeros((1, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match="label out of range"):
@@ -265,6 +277,13 @@ class TestOneHot:
         with pytest.raises(ValueError):
             one_hot_encode([-1], 3)
 
+    @pytest.mark.parametrize(
+        "labels, k, match", [([[0, 1]], 2, "1-D"), ([], 0, "num_classes must be >= 1")]
+    )
+    def test_bad_shape_or_class_count_rejected(self, labels, k, match):
+        with pytest.raises(ValueError, match=match):
+            one_hot_encode(labels, k)
+
 
 class TestZeroPixelNoise:
     @staticmethod
@@ -318,8 +337,49 @@ class TestZeroPixelNoise:
 
     def test_bad_fraction_rejected(self):
         raw = self.raw(np.random.default_rng(11), n=2, m=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise fraction"):
             zero_pixel_noise(raw, 1.5, seed=0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.1])
+    def test_fraction_that_rounds_into_range_rejected(self, fraction):
+        # with M = 4 both round to a pixel count in [0, M], so only the check objects
+        raw = self.raw(np.random.default_rng(11), n=2, m=4)
+        with pytest.raises(ValueError, match="noise fraction"):
+            zero_pixel_noise(raw, fraction, seed=0)
+
+
+def _raw(images, labels, num_classes):
+    return RawDataset(images=images, labels=labels, num_classes=num_classes)
+
+
+def _normalized(images, labels, num_classes):
+    return Dataset(x=images, labels=labels, num_classes=num_classes)
+
+
+@pytest.mark.parametrize("build", [_raw, _normalized], ids=["RawDataset", "Dataset"])
+class TestPairing:
+    def test_nested_lists_are_converted(self, build):
+        made = build([[0, 0], [0, 0]], [1, 0], 2)
+        samples = made.images if build is _raw else made.x
+        assert samples.shape == (2, 2) and samples.flags.c_contiguous
+        assert made.labels.dtype == np.int64 and made.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "images, labels, num_classes, match",
+        [
+            (np.zeros(4), [0], 1, "N x M"),
+            (np.zeros((2, 0)), [0, 0], 1, "N x M"),
+            (np.zeros((2, 4)), [0], 2, "count mismatch"),
+            (np.zeros((2, 4)), [0, 0, 0], 2, "count mismatch"),
+            (np.zeros((2, 4)), [[0, 0]], 2, "1-D"),
+            (np.zeros((0, 4)), [], 0, "num_classes must be >= 1"),
+            (np.zeros((2, 4)), [0, 3], 3, "label out of range"),
+            (np.zeros((2, 4)), [-1, 0], 3, "label out of range"),
+        ],
+    )
+    def test_rejected(self, build, images, labels, num_classes, match):
+        with pytest.raises(ValueError, match=match):
+            build(images, labels, num_classes)
 
 
 class TestDatasetValidation:

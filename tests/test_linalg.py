@@ -94,9 +94,12 @@ class TestCholeskySolve:
         assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            cholesky_solve(np.zeros((3, 2)), np.zeros((3, 1)))
-        with pytest.raises(ValueError):
+        # the top 2 x 2 block is positive definite, so only the shape check
+        # stands between dpotrf (n = lda = 3) and the end of the 6-element buffer
+        tall = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            cholesky_solve(tall, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="shape mismatch"):
             cholesky_solve(np.eye(3), np.zeros((2, 1)))
 
 

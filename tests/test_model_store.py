@@ -267,6 +267,19 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="lam"):
             load(path)
 
+    @pytest.mark.parametrize("num_classes, input_width", [(0, 4), (2, 0)])
+    def test_size_below_one(self, tmp_path, num_classes, input_width):
+        # K = 0 declares an empty grid, so the file is a header and a checksum
+        blob = bytearray(struct.pack(
+            "<4sIIQddIIIIIB", b"ELMB", 1, 0, 0, 1.0, 0.5, 1, 1, 3, input_width, num_classes, 0
+        ))
+        blob += bytes(8 * 3 * num_classes + 8)
+        refresh_crc(blob)
+        path = tmp_path / "m.elmb"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="must be >= 1"):
+            load(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight(self, small_model, tmp_path, bad):
         model, _ = small_model

@@ -53,6 +53,8 @@ class TestGenerateProjection:
             generate_projection(spec, -1, 0)
         with pytest.raises(ValueError):
             generate_projection(spec, 0, -1)
+        with pytest.raises(ValueError, match="stride"):
+            generate_projection(spec, 0, 2**32)
 
 
 class TestEncode:
@@ -80,8 +82,12 @@ class TestEncode:
         assert np.abs(h).max() < 1.0
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="encode width mismatch"):
             encode(np.zeros((2, 3)), np.zeros((4, 5)), Activation.TANH)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="encode width mismatch"):
+            encode(np.zeros(3), np.zeros((4, 3)), Activation.TANH)
 
 
 class TestHashSignature:
@@ -109,8 +115,16 @@ class TestHashSignature:
         assert np.array_equal(hash_signature(3.7 * x, r), hash_signature(x, r))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hash_signature dimension mismatch"):
             hash_signature(np.zeros(3), np.zeros((2, 4)))
+
+    def test_column_vector_rejected(self):
+        with pytest.raises(ValueError, match="hash_signature dimension mismatch"):
+            hash_signature(np.zeros((4, 1)), np.zeros((2, 4)))
+
+    def test_list_vector(self):
+        r = np.array([[1.0, -1.0], [-1.0, -1.0]])
+        assert hash_signature([2, 1], r).tolist() == [1.0, -1.0]
 
 
 class TestCollisionProbability:
@@ -134,6 +148,24 @@ class TestCollisionProbability:
         with pytest.raises(ValueError):
             collision_probability(np.zeros(3), np.ones(3))
 
+    def test_lists(self):
+        assert collision_probability([1, 0], [0, 2]) == 0.5
+        assert collision_probability([1, 2], [1, 2]) == 1.0
+
+
+@pytest.mark.parametrize("estimate", [
+    collision_probability,
+    lambda x, x_other: estimate_collision_rate(x, x_other, 100, seed=0),
+], ids=["analytic", "empirical"])
+@pytest.mark.parametrize("x, x_other", [
+    (np.ones(3), np.ones(4)),
+    (np.ones(4), np.ones((1, 4))),
+    (np.ones((2, 2)), np.ones((2, 2))),
+])
+def test_vectors_must_share_one_1d_shape(estimate, x, x_other):
+    with pytest.raises(ValueError, match="share one shape"):
+        estimate(x, x_other)
+
 
 class TestEstimateCollisionRate:
     def test_identical_is_exactly_one(self):
@@ -145,6 +177,11 @@ class TestEstimateCollisionRate:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(20)
         assert estimate_collision_rate(x, -x, 500, seed=1) == 0.0
+
+    def test_lists(self):
+        x = [1.0, -2.0, 0.5]
+        assert estimate_collision_rate(x, [-v for v in x], 500, seed=1) == 0.0
+        assert estimate_collision_rate(x, x, 500, seed=1) == 1.0
 
     def test_orthogonal_concentrates_at_half(self):
         x = np.zeros(50)
