@@ -9,7 +9,8 @@ Each input is checked once, where it is used (HyperParams, RawDataset, the
 scorer); main maps the exception type to the exit code and prints one line.
 OSError, IdxError and ModelFormatError exit 2; NotPositiveDefiniteError and
 FloatingPointError exit 3; MemoryError and every other ValueError, numpy's
-"array is too big" included, exit 1.
+"array is too big" included, exit 1.  Anything else (a LAPACK argument
+error's RuntimeError, say) is a fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations

@@ -249,7 +249,7 @@ def _factor(c: np.ndarray) -> None:
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
-        raise ValueError(f"invalid argument {-info} passed to dpotrf")
+        raise RuntimeError(f"invalid argument {-info} passed to dpotrf")
 
 
 def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,7 +262,7 @@ def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"factor_solve shape mismatch: {c.shape} vs {b.shape}")
     z, info = _lapack().potrs(np.asfortranarray(c, dtype=np.float64), b)
     if info != 0:
-        raise ValueError(f"dpotrs failed with status {info}")
+        raise RuntimeError(f"dpotrs failed with status {info}")
     return z
 
 

@@ -110,15 +110,12 @@ class TestTrainCommand:
         assert "train-labels-idx1-ubyte" in err and "Traceback" not in err
         assert not (tmp_path / "model.elmb").exists()
 
-    def test_bad_subset_exits_1(self, data_dir, tmp_path):
-        assert main(train_args(data_dir, tmp_path, **{"--train-subset": "0"})) == 1
-
-    @pytest.mark.parametrize("subset", ["0", "-1"])
-    def test_bad_subset_is_named_and_writes_no_model(self, data_dir, tmp_path, capsys, subset):
+    def test_bad_subset_exits_1(self, data_dir, tmp_path, capsys):
         # a negative subset would slice rows off the end and train on the rest
-        assert main(train_args(data_dir, tmp_path, **{"--train-subset": subset})) == 1
-        assert capsys.readouterr().err == "error: --train-subset must be >= 1\n"
-        assert not (tmp_path / "model.elmb").exists()
+        for subset in ("0", "-1"):
+            assert main(train_args(data_dir, tmp_path, **{"--train-subset": subset})) == 1
+            assert capsys.readouterr().err == "error: --train-subset must be >= 1\n"
+            assert not (tmp_path / "model.elmb").exists()
 
     def test_singular_unregularized_solve_exits_3(self, data_dir, tmp_path, capsys):
         # 5 samples cannot support an unregularized 16-wide Gram matrix

@@ -16,9 +16,7 @@ checkout is only read.
 
 Usage, from anywhere in a checkout::
 
-    python3 tools/mutate_checks.py                 # every module
-    python3 tools/mutate_checks.py dataset linalg  # only these modules
-    python3 tools/mutate_checks.py --list          # the mutants, without running them
+    python3 tools/mutate_checks.py
 
 A full sweep runs the suite once per mutant: 101 mutants took 16 minutes on
 a 2-vCPU host.
@@ -125,19 +123,9 @@ def _suite_passes(copy: Path) -> tuple[bool, str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", help="module names under src/elmboost (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    modules = args.modules or sorted(
-        p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__"
-    )
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    modules = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__")
     todo = [m for module in modules for m in mutants(module)]
-    if args.list:
-        for m in todo:
-            print(f"{m.module}.py:{m.line} {m.kind}: {m.source}")
-        print(f"{len(todo)} mutants")
-        return 0
 
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutate-checks-") as tmp:
