@@ -265,11 +265,11 @@ def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tup
 
 
 def _group_walk(jobs, groups: list[list[int]]) -> Iterator[list[tuple[int, int, np.ndarray]]]:
-    """Per level and group, [(job, level, scores)], from one slot walk over every group.
+    """Per group and level, [(job, level, scores)], from one slot walk over every group.
 
     A group's models agree on seed, widths, levels and steps, so each of its
-    slots' terms serve all its jobs.  The slots go level-major: level lv of
-    every group, group by group, before level lv + 1 of any.  Each slot's
+    slots' terms serve all its jobs.  The groups go one after another, each
+    through its (level, step) slots in train's order (_slots).  Each slot's
     terms are a pure function of the slot, so two lanes compute them
     (lanes.in_order); each lane adds its slot's terms to the scores in slot
     order, on its own thread, which fixes every bit, and emits the group's
@@ -282,23 +282,17 @@ def _group_walk(jobs, groups: list[list[int]]) -> Iterator[list[tuple[int, int, 
         for i in members:
             by_input.setdefault(id(jobs[i][1]), []).append(i)
         shared.append((first.projection_spec(), first.hyper, list(by_input.values())))
-    slots = (
-        (g, lv, t)
-        for lv in range(max(hyper.levels for _, hyper, _ in shared))
-        for g, (_, hyper, _) in enumerate(shared)
-        if lv < hyper.levels
-        for t in range(hyper.t_steps)
-    )
+    slots = ((g, slot) for g, (_, hyper, _) in enumerate(shared) for slot in _slots(hyper))
 
-    def terms(slot: tuple[int, int, int]) -> dict[int, np.ndarray]:
-        g, lv, t = slot
+    def terms(item: tuple[int, tuple[int, int]]) -> dict[int, np.ndarray]:
+        g, slot = item
         spec, _, by_input = shared[g]
-        return _slot_terms(jobs, by_input, spec, (lv, t))
+        return _slot_terms(jobs, by_input, spec, slot)
 
     scores: dict[int, np.ndarray] = {}
 
-    def add(slot: tuple[int, int, int], slot_terms: dict[int, np.ndarray]):
-        g, lv, t = slot
+    def add(item: tuple[int, tuple[int, int]], slot_terms: dict[int, np.ndarray]):
+        g, (lv, t) = item
         for i, term in slot_terms.items():
             scores[i] = term if i not in scores else scores[i] + term
         if t == shared[g][1].t_steps - 1:
@@ -320,16 +314,18 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     (job index, level, scores) and one pass scores every job: models that
     share seed, widths, levels and steps generate each projection once, and
     jobs that pass the same input object share one X·Rᵀ per step.  Every
-    score is bitwise the one a separate call gives, and every item of level
-    lv comes before level lv + 1.
+    score is bitwise the one a separate call gives, and each job's levels
+    come in order.  An empty list yields nothing.
 
-    The call walks every (level, step) slot of every group once, on two
-    lanes: the calling thread, while the generator runs, and one worker
-    thread, which keeps walking while the generator is suspended.  Each
-    computes the slot nobody has taken yet and adds its terms in slot
-    order (lanes.in_order), so at most two slots' terms are alive.  The
-    worker is joined when the generator finishes, raises or is closed.
-    numpy's BLAS is held at one thread for as long as the walk is open.
+    The call walks the groups one after another, each through its (level,
+    step) slots in train's order, on two lanes: the calling thread, while
+    the generator runs, and one worker thread, which keeps walking while
+    the generator is suspended.  Each computes the slot nobody has taken
+    yet and adds its terms in slot order (lanes.in_order), so at most two
+    slots' terms are alive.  The worker is joined when the generator
+    finishes, raises or is closed, so a caller that wants the scores
+    through level k breaks out of the loop there.  numpy's BLAS is held at
+    one thread for as long as the walk is open.
     """
     single = isinstance(model, BoostedModel)
     jobs = _checked_jobs(_job_list(model, x_new))
@@ -346,31 +342,19 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
                 yield (lv, scores) if single else (i, lv, scores)
 
 
-def predict_scores(model, x_new=None, up_to_level: int | None = None):
+def predict_scores(model, x_new=None):
     """N' x K score matrix for new samples, already normalized like the training data.
 
-    Sums alpha-discounted encoding-times-weights terms over all steps of
-    levels 0..up_to_level (default: every level).  Given a job list
+    Sums alpha-discounted encoding-times-weights terms over every step of
+    every level: the last scores iter_level_scores yields.  Given a job list
     [(model, x), ...], as iter_level_scores takes it, returns one score
-    matrix per job from one pass.
+    matrix per job from one pass; an empty list scores to [].
     """
     if isinstance(model, BoostedModel):
-        return predict_scores([(model, x_new)], up_to_level=up_to_level)[0]
+        return predict_scores([(model, x_new)])[0]
     jobs = _job_list(model, x_new)
-    last = []
-    for job_model, _ in jobs:
-        levels = job_model.hyper.levels
-        lv = levels - 1 if up_to_level is None else operator.index(up_to_level)
-        if not 0 <= lv < levels:
-            raise ValueError(f"up_to_level {up_to_level} out of range for {levels} levels")
-        last.append(lv)
-    final: dict[int, np.ndarray] = {}
-    for i, lv, scores in iter_level_scores(jobs):
-        if lv == last[i]:
-            final[i] = scores
-            if len(final) == len(last):
-                break  # later levels are not needed; closing the walk joins its worker
-    return [final[i] for i in range(len(last))]
+    final = {i: scores for i, _, scores in iter_level_scores(jobs)}
+    return [final[i] for i in range(len(jobs))]
 
 
 def classify(scores: np.ndarray) -> np.ndarray:

@@ -121,6 +121,17 @@ def _write_csv(path, header: list[str], rows) -> None:
     log.info("wrote %s", path)
 
 
+def _check_output_dirs(*paths) -> None:
+    """Raise FileNotFoundError naming each output path whose directory is missing.
+
+    Every command calls this before it reads any input, so a mistyped path
+    fails at once instead of after the run.
+    """
+    missing = [f"{Path(p).parent} (for {p})" for p in paths if not Path(p).parent.is_dir()]
+    if missing:
+        raise FileNotFoundError(f"missing output directory: {'; '.join(missing)}")
+
+
 def _check_model_matches(model, data) -> None:
     # the scorer checks the input width
     if data.num_classes != model.num_classes:
@@ -130,6 +141,7 @@ def _check_model_matches(model, data) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_output_dirs(args.model, args.out)
     raw = _load_split(args, "train")
     if args.train_subset is not None:
         if args.train_subset < 1:
@@ -171,6 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    _check_output_dirs(args.out)
     models = [model_store.load(path) for path in args.model]
     data = normalize(_load_split(args, "test"))
     for model in models:
@@ -193,11 +206,13 @@ def cmd_curve(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    _check_output_dirs(args.out)
     for fraction in args.noise_fraction:
         if not 0.0 <= fraction <= 1.0:
             raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
     model = model_store.load(args.model)
     raw = _load_split(args, "test")
+    _check_model_matches(model, raw)
 
     def noisy(fraction: float):
         return normalize(zero_pixel_noise(raw, fraction, args.seed))
@@ -205,7 +220,6 @@ def cmd_noise(args) -> int:
     # Every fraction's input is held at once so that one pass scores them all.
     # The calling thread and one worker build them in parallel.
     inputs = list(lanes.in_order(args.noise_fraction, noisy, lambda _, data: data))
-    _check_model_matches(model, inputs[0])
     scores = predict_scores([(model, data.x) for data in inputs])
     rows = []
     for fraction, data, fraction_scores in zip(args.noise_fraction, inputs, scores):
@@ -232,6 +246,7 @@ def _angled_pair(dim: int, theta: float, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_hash_sim(args) -> int:
+    _check_output_dirs(args.out)
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
     if args.hashes < 100:

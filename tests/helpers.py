@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from elmboost import linalg, model_store
-from elmboost.dataset import Dataset
+from elmboost.dataset import Dataset, RawDataset
 
 
 def normalized_rows(rng, n, m):
@@ -54,6 +54,44 @@ def separable_images(rng, n, m, k, noise=60):
         base[c, c * width : (c + 1) * width] = 200
     images = base[labels] + rng.integers(0, noise, (n, m))
     return np.clip(images, 0, 255).astype(np.uint8), labels
+
+
+def gaussian_blob_splits(seed):
+    """(train, test) RawDatasets of 14 × 14 Gaussian-blob images in 10 classes.
+
+    Each class has 3 templates.  A template is the sum of 4 axis-aligned
+    Gaussian blobs, with centres uniform in [3, 11]² and widths uniform in
+    [0.8, 2.5], scaled to peak 1.  A sample is a template of its class
+    rolled by an integer shift in [-2, 2]², times 200, plus N(0, 30²) noise,
+    rounded and clipped to [0, 255].  One generator seeded with seed draws
+    the templates, then 3 000 train rows, then 2 000 test rows.  Unlike
+    separable_images, they do not saturate a plain ELM's accuracy.
+    """
+    side, k, per_class, blobs = 14, 10, 3, 4
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(3.0, 11.0, (k, per_class, blobs, 2))
+    widths = rng.uniform(0.8, 2.5, (k, per_class, blobs, 2))
+    grid = np.arange(side, dtype=np.float64)
+    # each blob's profile down the rows and across the columns
+    profiles = np.exp(-0.5 * ((grid - centres[..., None]) / widths[..., None]) ** 2)
+    down, across = profiles[..., 0, :], profiles[..., 1, :]
+    templates = np.einsum("cpbi,cpbj->cpij", down, across)
+    templates /= templates.max(axis=(2, 3), keepdims=True)
+
+    def split(n):
+        labels = rng.integers(0, k, n)
+        which = rng.integers(0, per_class, n)
+        shifts = rng.integers(-2, 3, (n, 2))
+        images = np.stack([
+            np.roll(templates[c, p], tuple(shift), axis=(0, 1))
+            for c, p, shift in zip(labels, which, shifts)
+        ])
+        images = 200.0 * images + rng.normal(0.0, 30.0, images.shape)
+        images = np.clip(np.rint(images), 0, 255).astype(np.uint8).reshape(n, side * side)
+        return RawDataset(images=images, labels=labels, num_classes=k)
+
+    train = split(3000)
+    return train, split(2000)
 
 
 def mnist_dir(dataset: str) -> Path | None:

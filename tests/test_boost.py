@@ -139,7 +139,7 @@ class TestTrain:
                 replay -= hyper.alpha * (h @ model.weights[lv, t])
         assert abs(np.linalg.norm(replay) - report.residual_norms[-1, -1]) <= 1e-12
         # the prediction path sums the same terms in a different association
-        scores = predict_scores(model, data.x, up_to_level=hyper.levels - 1)
+        scores = predict_scores(model, data.x)
         fit = y - replay
         assert np.abs(scores - fit).max() <= 1e-9 * max(np.abs(fit).max(), 1.0)
 
@@ -387,17 +387,6 @@ class TestPredict:
         with pytest.raises(ValueError, match="row 3"):
             predict_scores(model, x)
 
-    def test_level_truncation_matches_prefix_sum(self):
-        rng = np.random.default_rng(8)
-        data = make_dataset(rng, 40, 7, 2)
-        y = one_hot_encode(data.labels, 2)
-        hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=3, hidden=5, master_seed=4)
-        model, _ = train(data, y, hyper)
-        x_new = make_dataset(rng, 15, 7, 2).x
-        by_iter = dict(iter_level_scores(model, x_new))
-        for lv in range(3):
-            assert np.array_equal(predict_scores(model, x_new, up_to_level=lv), by_iter[lv])
-
     def test_nested_list_input_matches_array(self):
         rng = np.random.default_rng(13)
         model = _random_model(rng, Activation.TANH, levels=3)
@@ -425,20 +414,6 @@ class TestPredict:
         with pytest.raises(ValueError, match="width mismatch"):
             predict_scores(model, x)
         assert calls == {"generate": 0, "encode": 0}
-
-    def test_bad_level_bounds(self):
-        rng = np.random.default_rng(10)
-        data = make_dataset(rng, 30, 6, 2)
-        model, _ = train(
-            data, one_hot_encode(data.labels, 2),
-            HyperParams(t_steps=1, levels=2, hidden=4, master_seed=0),
-        )
-        with pytest.raises(ValueError):
-            predict_scores(model, data.x, up_to_level=2)
-        with pytest.raises(ValueError):
-            predict_scores(model, data.x, up_to_level=-1)
-        with pytest.raises((TypeError, ValueError)):
-            predict_scores(model, data.x, up_to_level=0.5)
 
 
 def _random_model(rng, activation, seed=3, levels=2, t_steps=2, hidden=9, m=16, k=3):
@@ -521,8 +496,8 @@ class TestOnePassScoring:
         jobs = [(m, x) for m in models]
         items = list(iter_level_scores(jobs))
         assert_matches_reference(jobs, items)
-        levels = [lv for _, lv, _ in items]
-        assert levels == sorted(levels)  # every job's level lv before any level lv + 1
+        for i, (model, _) in enumerate(jobs):
+            assert [lv for j, lv, _ in items if j == i] == list(range(model.hyper.levels))
 
     def test_noise_inputs_share_projections(self, calls):
         rng = np.random.default_rng(23)
@@ -544,17 +519,22 @@ class TestOnePassScoring:
         assert calls == {"generate": 4, "encode": 4}  # both jobs share one X·Rᵀ per step
         assert_matches_reference([(m, x) for m in models], items)
 
-    @pytest.mark.parametrize("up_to_level", [None, 0, 1])
-    def test_predict_scores_lists(self, up_to_level):
+    def test_predict_scores_lists(self):
         rng = np.random.default_rng(24)
         models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
         inputs = [normalized_rows(rng, 20, 16) for _ in range(3)]
         jobs = [(m, inputs[0]) for m in models] + [(models[0], x) for x in inputs]
-        got = predict_scores(jobs, up_to_level=up_to_level)
+        got = predict_scores(jobs)
         assert len(got) == len(jobs)
         for scores, (model, x) in zip(got, jobs):
-            expected = predict_scores(model, x, up_to_level=up_to_level)
+            *_, (_, expected) = iter_level_scores(model, x)
             assert np.array_equal(_bits(scores), _bits(expected))
+
+    def test_empty_job_list(self):
+        before = threading.active_count()
+        assert predict_scores([]) == []
+        assert list(iter_level_scores([])) == []
+        assert threading.active_count() == before
 
     def test_each_input_is_checked(self):
         rng = np.random.default_rng(25)
@@ -597,8 +577,10 @@ class TestConcurrentWalk:
         x = normalized_rows(rng, 30, 16)
         before = threading.active_count()
         # level 0 ends at slot 0, while the worker still computes slot 1
-        scores = predict_scores(model, x, up_to_level=0)
-        assert threading.active_count() == before
+        walk = iter_level_scores(model, x)
+        lv, scores = next(walk)
+        walk.close()
+        assert lv == 0 and threading.active_count() == before
         assert np.array_equal(_bits(scores), _bits(level_scores_reference(model, x)[0][1]))
 
     @pytest.mark.parametrize(
@@ -792,7 +774,7 @@ class TestLanes:
         assert str(raised.value).endswith(f"level {lv}, step {t}")
         assert threading.active_count() == before
 
-    def test_seed_groups_of_different_depths_walk_level_major(self):
+    def test_seed_groups_of_different_depths_walk_group_by_group(self):
         rng = np.random.default_rng(63)
         deep = _random_model(rng, Activation.TANH, seed=3, levels=4, t_steps=2)
         shallow = _random_model(rng, Activation.SIGN, seed=4, levels=1, t_steps=2)
@@ -812,7 +794,7 @@ class TestLanes:
         runner.join(timeout=60)
         assert not runner.is_alive(), "the walk hung"
         assert threading.active_count() == before
-        assert [(i, lv) for i, lv, _ in got["all"]] == [(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)]
+        assert [(i, lv) for i, lv, _ in got["all"]] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
         for i, model in enumerate((deep, shallow)):
             separate = list(iter_level_scores(model, x))
             mine = [(lv, scores) for j, lv, scores in got["all"] if j == i]

@@ -436,6 +436,23 @@ class TestNoiseCommand:
         ]) == 0
         assert calls == {"normalize": 3, "zero_pixel_noise": 3}
 
+    def test_class_count_mismatch_exits_1_before_any_noise_is_made(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the 3-class labels are valid for 4 classes, so only the model check objects
+        assert main(train_args(data_dir, tmp_path)) == 0
+        capsys.readouterr()
+        made = []
+        monkeypatch.setattr(cli, "zero_pixel_noise", lambda *args: made.append(args))
+        out = tmp_path / "n.csv"
+        code = main([
+            "noise", "--dataset-dir", str(data_dir), "--classes", "4",
+            "--model", str(tmp_path / "model.elmb"), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: model has 3 classes, dataset declares 4\n"
+        assert made == [] and not out.exists()
+
     def test_bad_fraction_exits_1(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path)) == 0
         code = main([
@@ -501,6 +518,37 @@ class TestHashSimCommand:
         assert main(["hash-sim", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestMissingOutputDirectory:
+    """An output path in a missing directory exits 2 before any input is read."""
+
+    @pytest.mark.parametrize("flag", ["--model", "--out"])
+    def test_train(self, data_dir, tmp_path, capsys, monkeypatch, flag):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        path = tmp_path / "nodir" / "x"
+        assert main(train_args(data_dir, tmp_path, **{flag: str(path)})) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing output directory: {path.parent} (for {path})\n"
+        )
+        assert trained == []
+        assert not (tmp_path / "model.elmb").exists()
+
+    @pytest.mark.parametrize("command", ["curve", "noise", "hash-sim"])
+    def test_scoring_and_simulation(self, data_dir, tmp_path, capsys, monkeypatch, command):
+        # the model file does not exist either: the output check comes first
+        scored = []
+        for name in ("iter_level_scores", "predict_scores"):
+            monkeypatch.setattr(cli, name, lambda *args: scored.append(args))
+        path = tmp_path / "nodir" / "out.csv"
+        inputs = ["--dataset-dir", str(data_dir), "--model", str(tmp_path / "missing.elmb")]
+        argv = [command, "--out", str(path), *([] if command == "hash-sim" else inputs)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing output directory: {path.parent} (for {path})\n"
+        )
+        assert scored == []
 
 
 class TestUsage:
