@@ -144,10 +144,11 @@ def train(
     is solved, then solve theirs against the residual and update it (HᵀY,
     the triangular solves, H·W, the weight store and the norm) on their own
     thread.  The solves run in slot order, so every bit is that of the
-    serial walk.  Two N×J encodings are alive at once.  BLAS runs on one
-    thread throughout (linalg.one_blas_thread), an error names the first
-    failing slot in order, and the worker is joined before train returns or
-    raises.
+    serial walk.  Two N×J encodings are alive at once.  numpy's BLAS runs
+    on one thread for the whole walk (lanes.in_order pins it) and LAPACK's
+    on one thread in each call (linalg pins it), so no bit depends on the
+    caller's thread counts.  An error names the first failing slot in
+    order, and the worker is joined before train returns or raises.
 
     Parameters
     ----------
@@ -194,9 +195,8 @@ def train(
             log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
 
     work = functools.partial(_slot_factor, x, spec, hyper)
-    with linalg.one_blas_thread(lapack=True):
-        for _ in lanes.in_order(_slots(hyper), work, solve):
-            pass  # solve returns nothing; the walk runs to its end
+    for _ in lanes.in_order(_slots(hyper), work, solve):
+        pass  # solve returns nothing; the walk runs to its end
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
     return model, TrainReport(residual_norms=residual_norms)
@@ -324,8 +324,8 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     yet and adds its terms in slot order (lanes.in_order), so at most two
     slots' terms are alive.  The worker is joined when the generator
     finishes, raises or is closed, so a caller that wants the scores
-    through level k breaks out of the loop there.  numpy's BLAS is held at
-    one thread for as long as the walk is open.
+    through level k breaks out of the loop there.  The walk holds numpy's
+    BLAS at one thread for as long as it is open (lanes.in_order).
     """
     single = isinstance(model, BoostedModel)
     jobs = _checked_jobs(_job_list(model, x_new))
@@ -335,8 +335,7 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
         groups.setdefault(key, []).append(i)
     walk = _group_walk(jobs, list(groups.values()))
-    # closed here, not when the frame dies: the worker is joined while BLAS is pinned
-    with linalg.one_blas_thread(), closing(walk):
+    with closing(walk):
         for level in walk:
             for i, lv, scores in level:
                 yield (lv, scores) if single else (i, lv, scores)

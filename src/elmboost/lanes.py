@@ -13,12 +13,19 @@ result and takes the next slot.  The finishes therefore run in the order of
 a serial walk, so every result is bitwise the serial walk's.  Neither lane
 waits for the other at a fixed boundary, so both cores stay busy, and at
 most two work results are alive at once.
+
+OpenBLAS gives other bits on another thread count, and two lanes on two
+cores leave no core for BLAS's own threads.  So a walk holds numpy's BLAS
+at one thread (linalg.one_blas_thread) from before its worker starts until
+after it is joined, and then restores the caller's count.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Callable, Iterable, Iterator
+
+from . import linalg
 
 _END = object()  # what next() gives for an exhausted slot source
 # Finish outputs that may wait for the consumer before the worker stops taking
@@ -118,20 +125,23 @@ def in_order(slots: Iterable, work: Callable, finish: Callable) -> Iterator:
     order is raised here, after the outputs of every earlier slot; no later
     slot is finished.  The worker is joined when the generator finishes,
     raises or is closed, so no thread outlives the walk; a slot still being
-    computed when it is closed is dropped.
+    computed when it is closed is dropped.  numpy's BLAS runs on one thread
+    from the first resumption until the worker is joined, and the caller's
+    count is restored then.
 
     The worker keeps walking while the generator is suspended at a yield,
     until two outputs wait, in order, for the next resumption.
     """
     walk = _Walk(slots, work, finish)
     worker = threading.Thread(target=walk.run, name="elmboost-lane")
-    worker.start()
-    try:
-        while walk.step():
-            yield from walk.outputs()
-        yield from walk.outputs(until_over=True)
-        if walk.failure is not None:
-            raise walk.failure
-    finally:
-        walk.stop()
-        worker.join()
+    with linalg.one_blas_thread():
+        worker.start()
+        try:
+            while walk.step():
+                yield from walk.outputs()
+            yield from walk.outputs(until_over=True)
+            if walk.failure is not None:
+                raise walk.failure
+        finally:
+            walk.stop()
+            worker.join()

@@ -21,10 +21,11 @@ are looked up once, when LAPACK is first needed (``scipy_dpotrf_``, then
 imported instead.  Either way it is the same library function, so the bits
 are the same.  Processes that only score or load models never open it.
 
-OpenBLAS gives other bits on another thread count.  ``one_blas_thread``
-holds numpy's BLAS, and optionally the BLAS under LAPACK, at one thread and
-restores the caller's counts afterwards; ``boost.train`` and the scorer run
-inside it, so their bits do not depend on the caller's thread count.
+OpenBLAS gives other bits on another thread count.  Each ``dpotrf`` and
+``dpotrs`` call holds the BLAS under LAPACK at one thread, so every solver
+here gives one answer whatever that copy's thread count is.
+``one_blas_thread`` holds numpy's BLAS at one thread; ``lanes.in_order``
+runs every two-lane walk inside it.  Both restore the caller's count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import importlib.util
 import logging
 import os
 import threading
-from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,13 +89,15 @@ def _thread_calls(lib):
 
 
 class _ThreadCount:
-    """The thread count of one OpenBLAS copy, held at 1 while any caller pins it.
+    """The thread count of one OpenBLAS copy, held at 1 inside ``with``.
 
-    Holders nest and may be on several threads (callers hold _pin_lock): the
-    first sets 1 and the last restores the count the first found.  Where the
-    library exports no getter and setter, holding it logs once and changes
-    nothing.
+    Holders nest and may be on several threads: the first sets 1 and the
+    last restores the count the first found, also when its block raises.
+    Where the library exports no getter and setter, entering logs once and
+    changes nothing.
     """
+
+    _lock = threading.Lock()  # guards holders, saved and warned
 
     def __init__(self, what: str, lib):
         self.what = what
@@ -104,27 +106,26 @@ class _ThreadCount:
         self.saved = 0
         self.warned = False
 
-    def hold(self) -> None:
-        if self.calls is None:
-            if not self.warned:
+    def __enter__(self) -> None:
+        with self._lock:
+            if self.calls is not None:
+                if self.holders == 0:
+                    self.saved = self.calls[0]()
+                    self.calls[1](1)
+                self.holders += 1
+            elif not self.warned:
                 self.warned = True
                 log.warning(
                     "%s exports no OpenBLAS thread setter; its thread count is left "
                     "unchanged, so results may depend on it", self.what,
                 )
-            return
-        get, put = self.calls
-        if self.holders == 0:
-            self.saved = get()
-            put(1)
-        self.holders += 1
 
-    def release(self) -> None:
-        if self.calls is None:
-            return
-        self.holders -= 1
-        if self.holders == 0:
-            self.calls[1](self.saved)
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            if self.calls is not None:
+                self.holders -= 1
+                if self.holders == 0:
+                    self.calls[1](self.saved)
 
 
 def _numpy_blas():
@@ -135,7 +136,6 @@ def _numpy_blas():
 
 
 _NUMPY_THREADS = _ThreadCount("numpy's BLAS", _numpy_blas())
-_pin_lock = threading.Lock()
 _LAPACK = None
 _lapack_lock = threading.Lock()
 
@@ -162,7 +162,7 @@ def _flapack_path():
     return spec.origin
 
 
-def _scipy_lapack(lib=None) -> _Lapack:
+def _scipy_lapack(lib) -> _Lapack:
     """dpotrf and dpotrs through scipy.linalg.lapack, which imports scipy.linalg."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -212,24 +212,15 @@ def _load_lapack() -> _Lapack:
     return _Lapack("ctypes", potrf, potrs, _ThreadCount("scipy's LAPACK", lib))
 
 
-@contextmanager
-def one_blas_thread(lapack: bool = False):
-    """Run the block with numpy's BLAS on one thread; with lapack, LAPACK's BLAS too.
+def one_blas_thread() -> _ThreadCount:
+    """A context that runs its block with numpy's BLAS on one thread.
 
     The thread count is process-wide.  Nested and concurrent blocks share
     one pin, and the last block to leave restores the count the first one
-    found, also when the block raises.
+    found, also when the block raises.  The BLAS under LAPACK is not
+    touched: each LAPACK call here pins its own.
     """
-    counts = [_NUMPY_THREADS, _lapack().threads] if lapack else [_NUMPY_THREADS]
-    with _pin_lock:
-        for count in counts:
-            count.hold()
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            for count in reversed(counts):
-                count.release()
+    return _NUMPY_THREADS
 
 
 def gram(h: np.ndarray) -> np.ndarray:
@@ -245,7 +236,9 @@ def _factor(c: np.ndarray) -> None:
     # c would send it past the end of the buffer.
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"Cholesky factorization needs a square matrix, got {c.shape}")
-    info = _lapack().potrf(c)
+    lapack = _lapack()
+    with lapack.threads:
+        info = lapack.potrf(c)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
@@ -260,7 +253,9 @@ def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim != 2 or c.shape[0] != b.shape[0]:
         raise ValueError(f"factor_solve shape mismatch: {c.shape} vs {b.shape}")
-    z, info = _lapack().potrs(np.asfortranarray(c, dtype=np.float64), b)
+    lapack = _lapack()
+    with lapack.threads:
+        z, info = lapack.potrs(np.asfortranarray(c, dtype=np.float64), b)
     if info != 0:
         raise RuntimeError(f"dpotrs failed with status {info}")
     return z
@@ -291,10 +286,10 @@ def ridge_factor(h: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"regularizer must be nonnegative, got {lam}")
-    g = gram(h)
+    g = gram(np.asarray(h, dtype=np.float64))
     if lam:
         g[np.diag_indices_from(g)] += lam
-    c = np.asfortranarray(g.T, dtype=np.float64)  # a view: g is C-ordered and symmetric
+    c = g.T  # F-ordered: g is C-ordered and symmetric
     _factor(c)
     return c
 

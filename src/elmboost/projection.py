@@ -165,6 +165,8 @@ def activate(z: np.ndarray, act: Activation) -> np.ndarray:
 
 def encode(x: np.ndarray, r: np.ndarray, act: Activation) -> np.ndarray:
     """Hidden-layer encoding: the activation applied elementwise to X·Rᵀ."""
+    x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
     if x.ndim != 2 or r.ndim != 2 or x.shape[1] != r.shape[1]:
         raise ValueError(
             f"encode width mismatch: samples are {x.shape}, projections are {r.shape}"
@@ -179,6 +181,7 @@ def hash_signature(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     positive rescaling of x.
     """
     x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
     if x.ndim != 1 or r.ndim != 2 or r.shape[1] != x.shape[0]:
         raise ValueError(
             f"hash_signature dimension mismatch: vector has shape {x.shape}, "

@@ -195,7 +195,7 @@ def train_reference(data, targets, hyper):
     residual = np.array(targets, dtype=np.float64)
     weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, residual.shape[1]))
     norms = np.empty((hyper.levels, hyper.t_steps))
-    with linalg.one_blas_thread(lapack=True):
+    with linalg.one_blas_thread():
         for lv in range(hyper.levels):
             for t in range(hyper.t_steps):
                 h = encode(x, generate_projection(spec, lv, t), hyper.activation)

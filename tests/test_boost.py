@@ -30,10 +30,12 @@ from elmboost.linalg import NotPositiveDefiniteError, ridge_solve
 from elmboost.projection import Activation, ProjectionSpec, encode, generate_projection
 
 from helpers import (
+    blas_threads,
     level_scores_reference,
     make_dataset,
     normalized_rows,
     separable_images,
+    set_blas_threads,
     train_reference,
 )
 
@@ -277,7 +279,8 @@ class TestOverlappedTrain:
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(t_steps=2, levels=2, hidden=9, master_seed=4)
         model, report = train(data, y, hyper)
-        monkeypatch.setattr(linalg, "_LAPACK", linalg._scipy_lapack())
+        fallback = linalg._scipy_lapack(linalg._library(linalg._flapack_path()))
+        monkeypatch.setattr(linalg, "_LAPACK", fallback)
         fallback, fallback_report = train(data, y, hyper)
         assert np.array_equal(_bits(fallback.weights), _bits(model.weights))
         assert np.array_equal(_bits(fallback_report.residual_norms), _bits(report.residual_norms))
@@ -894,6 +897,59 @@ class TestInOrder:
         assert raised.value.args == (first,)
         assert out == finished == list(range(first))
         assert threading.active_count() == before
+
+    @pytest.fixture
+    def numpy_on_three(self):
+        saved = blas_threads()
+        set_blas_threads(3)
+        yield
+        set_blas_threads(saved)
+
+    @staticmethod
+    def _recording(seen, bad=frozenset()):
+        """(work, finish) that record (phase, thread, numpy's BLAS count) and raise on bad slots.
+
+        The calling thread's work sleeps first, so the worker takes slots too.
+        """
+        caller = threading.get_ident()
+
+        def work(slot):
+            if threading.get_ident() == caller:
+                time.sleep(0.005)
+            seen.append(("work", threading.get_ident(), blas_threads()))
+            if slot in bad:
+                raise KeyError(slot)
+            return slot
+
+        def finish(slot, result):
+            seen.append(("finish", threading.get_ident(), blas_threads()))
+            return result
+
+        return work, finish
+
+    def test_both_lanes_run_blas_on_one_thread(self, numpy_on_three):
+        seen = []
+        assert list(lanes.in_order(range(20), *self._recording(seen))) == list(range(20))
+        assert blas_threads() == 3
+        assert {count for _, _, count in seen} == {1}
+        for phase in ("work", "finish"):
+            assert len({thread for done, thread, _ in seen if done == phase}) == 2
+
+    def test_caller_count_comes_back_after_a_raise(self, numpy_on_three):
+        seen = []
+        with pytest.raises(KeyError):
+            list(lanes.in_order(range(20), *self._recording(seen, bad={9})))
+        assert blas_threads() == 3
+        assert {count for _, _, count in seen} == {1}
+
+    def test_caller_count_comes_back_after_close(self, numpy_on_three):
+        seen = []
+        walk = lanes.in_order(range(20), *self._recording(seen))
+        assert next(walk) == 0
+        assert blas_threads() == 1  # held while the walk is open
+        walk.close()
+        assert blas_threads() == 3
+        assert {count for _, _, count in seen} == {1}
 
     def test_lazy_slots_are_drawn_as_taken(self):
         drawn = []

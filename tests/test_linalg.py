@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,8 @@ class TestCtypesLapack:
         y = rng.standard_normal((n + 9, k))
         g = gram(h)
         g[np.diag_indices_from(g)] += 0.3
-        want = dpotrs(dpotrf(g, lower=1)[0], h.T @ y, lower=1)[0]
+        with linalg._lapack().threads:  # ridge_solve runs LAPACK on one thread
+            want = dpotrs(dpotrf(g, lower=1)[0], h.T @ y, lower=1)[0]
         got = ridge_solve(h, y, 0.3)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -291,9 +293,12 @@ class TestRidgeFactor:
         for other in (np.ascontiguousarray(c), np.tril(c).astype(np.longdouble)):
             assert np.array_equal(_bits(factor_solve(other, b)), _bits(want))
 
-    def test_integer_encoding_is_factored_as_float(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_integer_encoding_is_factored_as_float(self, lam):
         h = np.array([[1, 0], [1, 1], [0, 2]])
-        assert np.array_equal(ridge_factor(h, 0.0), ridge_factor(h.astype(np.float64), 0.0))
+        assert np.array_equal(ridge_factor(h, lam), ridge_factor(h.astype(np.float64), lam))
+        y = np.array([[1.0], [0.0], [2.0]])
+        assert np.array_equal(ridge_solve(h, y, lam), ridge_solve(h.astype(np.float64), y, lam))
 
 
 class TestFallback:
@@ -306,8 +311,91 @@ class TestFallback:
         rng = np.random.default_rng(n)
         a, b = _spd(rng, n), rng.standard_normal((n, k))
         first = cholesky_solve(a, b)
-        monkeypatch.setattr(linalg, "_LAPACK", linalg._scipy_lapack())
+        fallback = linalg._scipy_lapack(linalg._library(linalg._flapack_path()))
+        monkeypatch.setattr(linalg, "_LAPACK", fallback)
         assert np.array_equal(_bits(cholesky_solve(a, b)), _bits(first))
+
+
+class TestLapackThreads:
+    """Each LAPACK call holds LAPACK's OpenBLAS at one thread and restores the caller's count."""
+
+    @pytest.fixture
+    def lapack_on_three(self):
+        """LAPACK's OpenBLAS on 3 threads; yields its library path."""
+        lapack = linalg._flapack_path()
+        saved = blas_threads(lapack)
+        set_blas_threads(3, lapack)
+        yield lapack
+        set_blas_threads(saved, lapack)
+
+    @pytest.mark.parametrize("n, k", [(128, 3), (257, 10), (784, 10)])
+    def test_bits_do_not_depend_on_lapack_threads(self, lapack_on_three, n, k):
+        # unpinned, OpenBLAS's dpotrf gives other bits on 3 threads than on 1 here
+        rng = np.random.default_rng(n * k)
+        h, y = rng.standard_normal((n + 9, n)), rng.standard_normal((n + 9, k))
+        a, b = _spd(rng, n), rng.standard_normal((n, k))
+        solved = {}
+        for count in (1, 3):
+            set_blas_threads(count, lapack_on_three)
+            solved[count] = ridge_solve(h, y, 0.3), cholesky_solve(a, b)
+            assert blas_threads(lapack_on_three) == count
+        for one, three in zip(solved[1], solved[3]):
+            assert np.array_equal(_bits(one), _bits(three))
+
+    @staticmethod
+    def _record(monkeypatch, lapack, before=lambda: None):
+        """[(call, LAPACK's thread count inside it)], filled by wrappers around potrf / potrs.
+
+        before runs first in every potrf.
+        """
+        seen = []
+        binding = linalg._lapack()
+
+        def recording(name, call, before):
+            def wrapper(*args):
+                before()
+                seen.append((name, blas_threads(lapack)))
+                return call(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "_LAPACK", binding._replace(
+            potrf=recording("potrf", binding.potrf, before),
+            potrs=recording("potrs", binding.potrs, lambda: None),
+        ))
+        return seen
+
+    def test_calls_run_on_one_thread_and_restore(self, monkeypatch, lapack_on_three):
+        recorded = self._record(monkeypatch, lapack_on_three)
+        rng = np.random.default_rng(15)
+        ridge_solve(rng.standard_normal((40, 12)), rng.standard_normal((40, 2)), 0.5)
+        assert recorded == [("potrf", 1), ("potrs", 1)]
+        assert blas_threads(lapack_on_three) == 3
+        with pytest.raises(NotPositiveDefiniteError):
+            ridge_factor(np.ones((4, 3)), 0.0)
+        assert recorded[2:] == [("potrf", 1)]
+        assert blas_threads(lapack_on_three) == 3
+
+    def test_two_threads_factoring_at_once_restore(self, monkeypatch, lapack_on_three):
+        both_inside = threading.Barrier(2, timeout=30)
+        recorded = self._record(monkeypatch, lapack_on_three, both_inside.wait)
+        a = _spd(np.random.default_rng(16), 20)
+        errors = []
+
+        def factor():
+            try:
+                ridge_factor(a, 0.5)
+            except BaseException as exc:
+                errors.append(exc)
+
+        runners = [threading.Thread(target=factor) for _ in range(2)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=60)
+        assert not errors and not any(runner.is_alive() for runner in runners)
+        assert recorded == [("potrf", 1), ("potrf", 1)]
+        assert blas_threads(lapack_on_three) == 3
 
 
 class TestOneBlasThread:
@@ -328,15 +416,16 @@ class TestOneBlasThread:
         with linalg.one_blas_thread():
             assert blas_threads() == 1
             assert blas_threads(three_threads) == 3
-            with linalg.one_blas_thread(lapack=True):
-                assert blas_threads() == blas_threads(three_threads) == 1
+            with linalg.one_blas_thread():
+                assert blas_threads() == 1
+                assert blas_threads(three_threads) == 3
             assert blas_threads() == 1
             assert blas_threads(three_threads) == 3
         assert blas_threads() == blas_threads(three_threads) == 3
 
     def test_restores_when_the_block_raises(self, three_threads):
         with pytest.raises(RuntimeError):
-            with linalg.one_blas_thread(lapack=True):
+            with linalg.one_blas_thread():
                 raise RuntimeError("inside")
         assert blas_threads() == blas_threads(three_threads) == 3
 
@@ -344,8 +433,8 @@ class TestOneBlasThread:
         count = linalg._ThreadCount("a BLAS without setters", None)
         with caplog.at_level(logging.WARNING, logger="elmboost.linalg"):
             for _ in range(2):
-                count.hold()
-                count.release()
+                with count:
+                    pass
         assert [r.getMessage().split(";")[0] for r in caplog.records] == [
             "a BLAS without setters exports no OpenBLAS thread setter"
         ]

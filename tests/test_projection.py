@@ -68,6 +68,7 @@ class TestEncode:
         x = np.array([[1.0, 0.0]])
         r = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert encode(x, r, Activation.SIGN).tolist() == [[1.0, 1.0]]
+        assert encode(x.tolist(), r.tolist(), Activation.SIGN).tolist() == [[1.0, 1.0]]
 
     def test_sign_codomain(self):
         rng = np.random.default_rng(0)
@@ -84,10 +85,14 @@ class TestEncode:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="encode width mismatch"):
             encode(np.zeros((2, 3)), np.zeros((4, 5)), Activation.TANH)
+        with pytest.raises(ValueError, match="encode width mismatch"):
+            encode([[0.0] * 3] * 2, [[0.0] * 5] * 4, Activation.TANH)
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="encode width mismatch"):
             encode(np.zeros(3), np.zeros((4, 3)), Activation.TANH)
+        with pytest.raises(ValueError, match="encode width mismatch"):
+            encode([0.0] * 3, [[0.0] * 3] * 4, Activation.TANH)
 
 
 class TestHashSignature:
@@ -117,6 +122,8 @@ class TestHashSignature:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="hash_signature dimension mismatch"):
             hash_signature(np.zeros(3), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="hash_signature dimension mismatch"):
+            hash_signature([0.0] * 3, [[0.0] * 4] * 2)
 
     def test_column_vector_rejected(self):
         with pytest.raises(ValueError, match="hash_signature dimension mismatch"):
@@ -125,6 +132,7 @@ class TestHashSignature:
     def test_list_vector(self):
         r = np.array([[1.0, -1.0], [-1.0, -1.0]])
         assert hash_signature([2, 1], r).tolist() == [1.0, -1.0]
+        assert hash_signature([2, 1], r.tolist()).tolist() == [1.0, -1.0]
 
 
 class TestCollisionProbability:
