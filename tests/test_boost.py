@@ -533,6 +533,19 @@ class TestOnePassScoring:
             *_, (_, expected) = iter_level_scores(model, x)
             assert np.array_equal(_bits(scores), _bits(expected))
 
+    def test_scoring_never_opens_lapack(self, monkeypatch):
+        # a scoring process skips LAPACK's lookup, and its thread pin with it
+        def opened():
+            raise AssertionError("scoring opened LAPACK")
+
+        monkeypatch.setattr(linalg, "_lapack", opened)
+        rng = np.random.default_rng(28)
+        models = [_random_model(rng, Activation.TANH), _random_model(rng, Activation.SIGN)]
+        x = normalized_rows(rng, 20, 16)
+        jobs = [(m, x) for m in models]
+        assert_matches_reference(jobs, list(iter_level_scores(jobs)))
+        assert len(predict_scores(jobs)) == 2
+
     def test_empty_job_list(self):
         before = threading.active_count()
         assert predict_scores([]) == []
