@@ -27,6 +27,18 @@ from .projection import Activation, ProjectionSpec, activate, encode, generate_p
 log = logging.getLogger(__name__)
 
 
+def _check_header_ints(owner, fields) -> None:
+    """Raise ValueError unless each (name, low, bits) field of owner lies in [low, 2**bits)."""
+    for name, low, bits in fields:
+        value = getattr(owner, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not low <= value < 2**bits:
+            raise ValueError(f"{name} must be >= {low} and < 2**{bits}, got {value}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Training configuration; with the master seed it fully determines a model.
@@ -51,15 +63,9 @@ class HyperParams:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        fields = (("t_steps", 1, 32), ("levels", 1, 32), ("hidden", 1, 32), ("master_seed", 0, 64))
-        for name, low, bits in fields:
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if not low <= value < 2**bits:
-                raise ValueError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
+        _check_header_ints(
+            self, (("t_steps", 1, 32), ("levels", 1, 32), ("hidden", 1, 32), ("master_seed", 0, 64))
+        )
         if not isinstance(self.activation, Activation):
             raise ValueError(f"activation must be an Activation, got {self.activation!r}")
 
@@ -72,6 +78,8 @@ class BoostedModel:
     (levels, t_steps, hidden, num_classes); weights[lv, t] is the J×K output
     matrix of step t in level lv.  Projection matrices are regenerated from
     the stored seed, never kept, so the model alone suffices for prediction.
+    num_classes and input_width must be integers in [1, 2**32): the model
+    file stores them as u32 fields.
     """
 
     hyper: HyperParams
@@ -80,18 +88,12 @@ class BoostedModel:
     input_width: int
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.input_width < 1:
-            raise ValueError("num_classes and input_width must be >= 1")
+        _check_header_ints(self, (("num_classes", 1, 32), ("input_width", 1, 32)))
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         hyper = self.hyper
         shape = (hyper.levels, hyper.t_steps, hyper.hidden, self.num_classes)
         if self.weights.shape != shape:
             raise ValueError(f"weight grid has shape {self.weights.shape}, expected {shape}")
-
-    def projection_spec(self) -> ProjectionSpec:
-        return ProjectionSpec(
-            master_seed=self.hyper.master_seed, j=self.hyper.hidden, m=self.input_width
-        )
 
 
 @dataclass
@@ -105,9 +107,9 @@ class TrainReport:
     residual_norms: np.ndarray  # levels x t_steps
 
 
-def _slots(hyper: HyperParams) -> Iterator[tuple[int, int]]:
+def _slots(levels: int, t_steps: int) -> Iterator[tuple[int, int]]:
     """(level, step) of every step of the flat sequence, in order."""
-    return itertools.product(range(hyper.levels), range(hyper.t_steps))
+    return itertools.product(range(levels), range(t_steps))
 
 
 def _slot_factor(x: np.ndarray, spec: ProjectionSpec, hyper: HyperParams, slot: tuple[int, int]):
@@ -195,40 +197,11 @@ def train(
             log.info("level %d/%d: train residual %.6g", lv, hyper.levels, residual_norms[lv, t])
 
     work = functools.partial(_slot_factor, x, spec, hyper)
-    for _ in lanes.in_order(_slots(hyper), work, solve):
+    for _ in lanes.in_order(_slots(hyper.levels, hyper.t_steps), work, solve):
         pass  # solve returns nothing; the walk runs to its end
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
     return model, TrainReport(residual_norms=residual_norms)
-
-
-def _job_list(model, x_new) -> list:
-    """The call's (model, samples) jobs: the one given pair, or the given job list."""
-    if isinstance(model, BoostedModel):
-        return [(model, x_new)]
-    if x_new is not None:
-        raise TypeError("pass a model and its samples, or one list of (model, samples) jobs")
-    return list(model)
-
-
-def _checked_jobs(jobs: list) -> list[tuple[BoostedModel, np.ndarray]]:
-    """Jobs with each distinct input a C-contiguous float64 matrix, converted and checked once."""
-    # the job list keeps every input alive, so distinct inputs have distinct ids
-    inputs = {id(x): np.ascontiguousarray(x, dtype=np.float64) for _, x in jobs}
-    for model, x_new in jobs:
-        x = inputs[id(x_new)]
-        if x.ndim != 2 or x.shape[1] != model.input_width:
-            raise ValueError(
-                f"input width mismatch: samples are {x.shape}, "
-                f"model expects {model.input_width} columns"
-            )
-    for x in inputs.values():
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            raise ValueError(
-                f"samples contain non-finite values (first at row {np.argmin(finite)})"
-            )
-    return [(model, inputs[id(x)]) for model, x in jobs]
 
 
 def _encodings(
@@ -264,42 +237,51 @@ def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tup
     return terms
 
 
-def _group_walk(jobs, groups: list[list[int]]) -> Iterator[list[tuple[int, int, np.ndarray]]]:
-    """Per group and level, [(job, level, scores)], from one slot walk over every group.
+def _plan(model, x_new):
+    """(single, jobs, groups): every decision of one scoring call, made once.
 
-    A group's models agree on seed, widths, levels and steps, so each of its
-    slots' terms serve all its jobs.  The groups go one after another, each
-    through its (level, step) slots in train's order (_slots).  Each slot's
-    terms are a pure function of the slot, so two lanes compute them
-    (lanes.in_order); each lane adds its slot's terms to the scores in slot
-    order, on its own thread, which fixes every bit, and emits the group's
-    level scores at the level's last step.
+    single is the call shape: one model and its samples, or one list of
+    (model, samples) jobs with no separate samples (TypeError otherwise).
+    jobs lists the call's (model, samples) pairs with each distinct input
+    converted once to a C-contiguous float64 matrix and checked once: every
+    job's width first, then every input's finiteness (ValueError).  groups
+    holds one (spec, levels, t_steps, by_input) per (seed, hidden width,
+    input width, levels, steps), in order of first appearance: its models
+    share every projection, and by_input lists, in job order, the jobs that
+    pass one input object and so share its X·Rᵀ.
     """
-    shared = []
-    for members in groups:
-        first = jobs[members[0]][0]
-        by_input: dict[int, list[int]] = {}
-        for i in members:
-            by_input.setdefault(id(jobs[i][1]), []).append(i)
-        shared.append((first.projection_spec(), first.hyper, list(by_input.values())))
-    slots = ((g, slot) for g, (_, hyper, _) in enumerate(shared) for slot in _slots(hyper))
-
-    def terms(item: tuple[int, tuple[int, int]]) -> dict[int, np.ndarray]:
-        g, slot = item
-        spec, _, by_input = shared[g]
-        return _slot_terms(jobs, by_input, spec, slot)
-
-    scores: dict[int, np.ndarray] = {}
-
-    def add(item: tuple[int, tuple[int, int]], slot_terms: dict[int, np.ndarray]):
-        g, (lv, t) = item
-        for i, term in slot_terms.items():
-            scores[i] = term if i not in scores else scores[i] + term
-        if t == shared[g][1].t_steps - 1:
-            return [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in groups[g]]
-        return None
-
-    return lanes.in_order(slots, terms, add)
+    single = isinstance(model, BoostedModel)
+    if single:
+        jobs = [(model, x_new)]
+    elif x_new is not None:
+        raise TypeError("pass a model and its samples, or one list of (model, samples) jobs")
+    else:
+        jobs = list(model)
+    # the job list keeps every input alive, so distinct inputs have distinct ids
+    inputs = {id(x): np.ascontiguousarray(x, dtype=np.float64) for _, x in jobs}
+    by_key: dict[tuple, dict[int, list[int]]] = {}
+    for i, (job_model, given) in enumerate(jobs):
+        x = inputs[id(given)]
+        if x.ndim != 2 or x.shape[1] != job_model.input_width:
+            raise ValueError(
+                f"input width mismatch: samples are {x.shape}, "
+                f"model expects {job_model.input_width} columns"
+            )
+        hyper = job_model.hyper
+        key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
+        by_key.setdefault(key, {}).setdefault(id(given), []).append(i)
+    for x in inputs.values():
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"samples contain non-finite values (first at row {np.argmin(finite)})"
+            )
+    jobs = [(job_model, inputs[id(given)]) for job_model, given in jobs]
+    groups = [
+        (ProjectionSpec(master_seed=seed, j=j, m=m), levels, t_steps, list(by_input.values()))
+        for (seed, j, m, levels, t_steps), by_input in by_key.items()
+    ]
+    return single, jobs, groups
 
 
 def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
@@ -317,28 +299,46 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     score is bitwise the one a separate call gives, and each job's levels
     come in order.  An empty list yields nothing.
 
-    The call walks the groups one after another, each through its (level,
-    step) slots in train's order, on two lanes: the calling thread, while
-    the generator runs, and one worker thread, which keeps walking while
-    the generator is suspended.  Each computes the slot nobody has taken
-    yet and adds its terms in slot order (lanes.in_order), so at most two
-    slots' terms are alive.  The worker is joined when the generator
-    finishes, raises or is closed, so a caller that wants the scores
-    through level k breaks out of the loop there.  The walk holds numpy's
-    BLAS at one thread for as long as it is open (lanes.in_order).
+    The call is planned once (_plan), when the generator first runs, so a
+    bad call raises there.  The walk then takes the groups one after
+    another, each through its (level, step) slots in train's order, on two
+    lanes: the calling thread, while the generator runs, and one worker
+    thread, which keeps walking while the generator is suspended.  Each
+    computes the slot nobody has taken yet and adds its terms in slot order
+    (lanes.in_order), so at most two slots' terms are alive; a group's
+    level scores are emitted at the level's last step.  The worker is
+    joined when the generator finishes, raises or is closed, so a caller
+    that wants the scores through level k breaks out of the loop there.
+    The walk holds numpy's BLAS at one thread for as long as it is open
+    (lanes.in_order).
     """
-    single = isinstance(model, BoostedModel)
-    jobs = _checked_jobs(_job_list(model, x_new))
-    groups: dict[tuple, list[int]] = {}
-    for i, (job_model, _) in enumerate(jobs):
-        hyper = job_model.hyper
-        key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
-        groups.setdefault(key, []).append(i)
-    walk = _group_walk(jobs, list(groups.values()))
-    with closing(walk):
+    single, jobs, groups = _plan(model, x_new)
+    slots = (
+        (g, slot) for g, (_, levels, t_steps, _) in enumerate(groups)
+        for slot in _slots(levels, t_steps)
+    )
+
+    def terms(item: tuple[int, tuple[int, int]]) -> dict[int, np.ndarray]:
+        g, slot = item
+        spec, _, _, by_input = groups[g]
+        return _slot_terms(jobs, by_input, spec, slot)
+
+    scores: dict[int, np.ndarray] = {}
+
+    def add(item: tuple[int, tuple[int, int]], slot_terms: dict[int, np.ndarray]):
+        g, (lv, t) = item
+        for i, term in slot_terms.items():
+            scores[i] = term if i not in scores else scores[i] + term
+        _, _, t_steps, _ = groups[g]
+        if t == t_steps - 1:
+            # every job of the group has a term, so this is the group in job order
+            return [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in sorted(slot_terms)]
+        return None
+
+    with closing(lanes.in_order(slots, terms, add)) as walk:
         for level in walk:
-            for i, lv, scores in level:
-                yield (lv, scores) if single else (i, lv, scores)
+            for i, lv, level_scores in level:
+                yield (lv, level_scores) if single else (i, lv, level_scores)
 
 
 def predict_scores(model, x_new=None):
@@ -351,9 +351,8 @@ def predict_scores(model, x_new=None):
     """
     if isinstance(model, BoostedModel):
         return predict_scores([(model, x_new)])[0]
-    jobs = _job_list(model, x_new)
-    final = {i: scores for i, _, scores in iter_level_scores(jobs)}
-    return [final[i] for i in range(len(jobs))]
+    final = {i: scores for i, _, scores in iter_level_scores(model, x_new)}
+    return [final[i] for i in range(len(final))]
 
 
 def classify(scores: np.ndarray) -> np.ndarray:

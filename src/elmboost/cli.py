@@ -19,6 +19,8 @@ import argparse
 import csv
 import logging
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -121,15 +123,41 @@ def _write_csv(path, header: list[str], rows) -> None:
     log.info("wrote %s", path)
 
 
-def _check_output_dirs(*paths) -> None:
-    """Raise FileNotFoundError naming each output path whose directory is missing.
+def _file_key(path):
+    """Equal for two paths that name one file: its device and inode, or its resolved path.
+
+    A character device such as /dev/null takes any number of writers, so its
+    key equals no other.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return object() if stat.S_ISCHR(st.st_mode) else (st.st_dev, st.st_ino)
+
+
+def _check_outputs(outputs, inputs=()) -> None:
+    """Refuse the command's output paths before any work.
 
     Every command calls this before it reads any input, so a mistyped path
-    fails at once instead of after the run.
+    fails at once instead of after the run.  An output whose directory is
+    missing raises FileNotFoundError and one that is a directory
+    IsADirectoryError (exit 2).  An output that names the same file as one
+    of the inputs (the --model files a command reads) or as another output
+    raises UsageError (exit 1) instead of overwriting it.
     """
-    missing = [f"{Path(p).parent} (for {p})" for p in paths if not Path(p).parent.is_dir()]
+    missing = [f"{Path(p).parent} (for {p})" for p in outputs if not Path(p).parent.is_dir()]
     if missing:
         raise FileNotFoundError(f"missing output directory: {'; '.join(missing)}")
+    directories = [str(p) for p in outputs if Path(p).is_dir()]
+    if directories:
+        raise IsADirectoryError(f"output path is a directory: {'; '.join(directories)}")
+    named = {_file_key(p): p for p in inputs}
+    for path in outputs:
+        key = _file_key(path)
+        if key in named:
+            raise UsageError(f"output {path} is the same file as {named[key]}")
+        named[key] = path
 
 
 def _check_model_matches(model, data) -> None:
@@ -141,7 +169,7 @@ def _check_model_matches(model, data) -> None:
 
 
 def cmd_train(args) -> int:
-    _check_output_dirs(args.model, args.out)
+    _check_outputs([args.model, args.out])
     raw = _load_split(args, "train")
     if args.train_subset is not None:
         if args.train_subset < 1:
@@ -183,7 +211,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    _check_output_dirs(args.out)
+    _check_outputs([args.out], args.model)
     models = [model_store.load(path) for path in args.model]
     data = normalize(_load_split(args, "test"))
     for model in models:
@@ -206,7 +234,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    _check_output_dirs(args.out)
+    _check_outputs([args.out], [args.model])
     for fraction in args.noise_fraction:
         if not 0.0 <= fraction <= 1.0:
             raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
@@ -246,7 +274,7 @@ def _angled_pair(dim: int, theta: float, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_hash_sim(args) -> int:
-    _check_output_dirs(args.out)
+    _check_outputs([args.out])
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
     if args.hashes < 100:

@@ -15,7 +15,6 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -166,42 +165,6 @@ def load_idx_images(path) -> np.ndarray:
 def load_idx_labels(path) -> np.ndarray:
     """Load an IDX label file (optionally gzipped) as an int64 array."""
     return _read_idx(path, LABEL_MAGIC).astype(np.int64)
-
-
-def write_idx_images(images: np.ndarray, path, grid: tuple[int, int] | None = None) -> None:
-    """Write an N x M uint8 array as an IDX image file (gzipped if path ends in .gz).
-
-    grid gives the (rows, cols) shape recorded in the header; it defaults to
-    (1, M) and must multiply out to M.
-    """
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 2:
-        raise ValueError(f"images must be 2-D, got shape {images.shape}")
-    n, m = images.shape
-    rows, cols = grid if grid is not None else (1, m)
-    if rows * cols != m:
-        raise ValueError(f"grid {rows}x{cols} does not match image width {m}")
-    blob = struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols) + images.tobytes()
-    _write_maybe_gzipped(path, blob)
-
-
-def write_idx_labels(labels: np.ndarray, path) -> None:
-    """Write integer labels in [0, 255] as an IDX label file."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise ValueError("labels must fit in an unsigned byte")
-    blob = struct.pack(">II", LABEL_MAGIC, labels.shape[0]) + labels.astype(np.uint8).tobytes()
-    _write_maybe_gzipped(path, blob)
-
-
-def _write_maybe_gzipped(path, blob: bytes) -> None:
-    if str(path).endswith(".gz"):
-        with gzip.open(path, "wb") as f:
-            f.write(blob)
-    else:
-        Path(path).write_bytes(blob)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import gzip
 import os
 import struct
 import threading
@@ -92,6 +93,19 @@ def gaussian_blob_splits(seed):
 
     train = split(3000)
     return train, split(2000)
+
+
+def write_idx(path, array) -> None:
+    """Write a uint8 array as an IDX file: gzipped if path ends in .gz, raw otherwise.
+
+    The documented layout: a big-endian u32 magic 0x00000800 plus the number
+    of dimensions (0x803 for count × rows × cols images, 0x801 for a label
+    count), one big-endian u32 per dimension, then the bytes in row-major order.
+    """
+    array = np.asarray(array, dtype=np.uint8)
+    blob = struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes()
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "wb") as f:
+        f.write(blob)
 
 
 def mnist_dir(dataset: str) -> Path | None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elmboost import boost, lanes, linalg
+from elmboost import boost, lanes, linalg, model_store
 from elmboost.boost import (
     BoostedModel,
     HyperParams,
@@ -358,6 +358,27 @@ class TestBoostedModel:
                 hyper=self.hyper, weights=np.ones(shape), num_classes=5, input_width=7
             )
 
+    @pytest.mark.parametrize("name", ["num_classes", "input_width"])
+    @pytest.mark.parametrize("value", [2**32, 2.5])
+    def test_sizes_must_fit_the_model_header(self, name, value):
+        # both are unsigned 32-bit fields of the .elmb header; the size check
+        # comes before the grid's, so a one-class grid serves every case
+        sizes = {"num_classes": 1, "input_width": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            BoostedModel(
+                hyper=HyperParams(levels=1, t_steps=1, hidden=1), weights=np.zeros((1, 1, 1, 1)),
+                **sizes,
+            )
+
+    def test_widest_input_saves_and_loads(self, tmp_path):
+        # the grid does not depend on M, so the largest u32 width costs nothing
+        model = BoostedModel(
+            hyper=HyperParams(levels=1, t_steps=1, hidden=1), weights=np.zeros((1, 1, 1, 1)),
+            num_classes=1, input_width=2**32 - 1,
+        )
+        model_store.save(model, tmp_path / "m.elmb")
+        assert model_store.load(tmp_path / "m.elmb").input_width == 2**32 - 1
+
     @pytest.mark.parametrize("num_classes, input_width", [(0, 7), (5, 0)])
     def test_sizes_below_one_rejected(self, num_classes, input_width):
         # the grid matches the declared class count, so only the size check objects
@@ -486,6 +507,20 @@ class TestOnePassScoring:
         jobs = [(m, x) for m in models]
         items = list(iter_level_scores(jobs))
         assert calls == {"generate": 8, "encode": 8}
+        assert_matches_reference(jobs, items)
+
+    def test_interleaved_groups_and_inputs(self, calls):
+        # two seed groups and two inputs, each group meeting each input, one
+        # job twice: the plan groups by seed and, within a group, by input
+        rng = np.random.default_rng(29)
+        a = _random_model(rng, Activation.TANH, seed=3)
+        b = _random_model(rng, Activation.SIGN, seed=4)
+        x, y = normalized_rows(rng, 30, 16), normalized_rows(rng, 20, 16)
+        jobs = [(a, x), (b, y), (a, y), (b, x), (a, x)]
+        items = list(iter_level_scores(jobs))
+        # 2 groups x 4 slots: one generation per group slot, and one encode
+        # per slot for each of a group's two inputs
+        assert calls == {"generate": 8, "encode": 16}
         assert_matches_reference(jobs, items)
 
     def test_models_differing_in_levels_or_steps(self):

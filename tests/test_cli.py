@@ -2,9 +2,11 @@
 
 import csv
 import io
+import os
 import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,11 @@ from elmboost.dataset import (
     load_idx_images,
     load_idx_labels,
     normalize,
-    write_idx_images,
-    write_idx_labels,
     zero_pixel_noise,
 )
 from elmboost.model_store import crc64
 
-from helpers import fifo_writer, needs_mkfifo, separable_images
+from helpers import fifo_writer, needs_mkfifo, separable_images, write_idx
 
 
 def read_csv(path):
@@ -40,10 +40,10 @@ def data_dir(tmp_path):
     (root / "mnist").mkdir(parents=True)
     train_images, train_labels = separable_images(rng, 150, 16, 3)
     test_images, test_labels = separable_images(rng, 60, 16, 3)
-    write_idx_images(train_images, root / "mnist" / "train-images-idx3-ubyte.gz", grid=(4, 4))
-    write_idx_labels(train_labels, root / "mnist" / "train-labels-idx1-ubyte.gz")
-    write_idx_images(test_images, root / "mnist" / "t10k-images-idx3-ubyte", grid=(4, 4))
-    write_idx_labels(test_labels, root / "mnist" / "t10k-labels-idx1-ubyte")
+    write_idx(root / "mnist" / "train-images-idx3-ubyte.gz", train_images.reshape(-1, 4, 4))
+    write_idx(root / "mnist" / "train-labels-idx1-ubyte.gz", train_labels)
+    write_idx(root / "mnist" / "t10k-images-idx3-ubyte", test_images.reshape(-1, 4, 4))
+    write_idx(root / "mnist" / "t10k-labels-idx1-ubyte", test_labels)
     return root
 
 
@@ -219,8 +219,8 @@ class TestCurveCommand:
         other = tmp_path / "other"
         (other / "mnist").mkdir(parents=True)
         images, labels = separable_images(rng, 20, 25, 3)
-        write_idx_images(images, other / "mnist" / "t10k-images-idx3-ubyte", grid=(5, 5))
-        write_idx_labels(labels, other / "mnist" / "t10k-labels-idx1-ubyte")
+        write_idx(other / "mnist" / "t10k-images-idx3-ubyte", images.reshape(-1, 5, 5))
+        write_idx(other / "mnist" / "t10k-labels-idx1-ubyte", labels)
         code = main([
             "curve", "--dataset-dir", str(other), "--classes", "3",
             "--model", str(tmp_path / "model.elmb"), "--out", str(tmp_path / "c.csv"),
@@ -551,6 +551,92 @@ class TestMissingOutputDirectory:
         assert scored == []
 
 
+
+def _files(root):
+    """{path: bytes} of every file under root."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+class TestUnsafeOutputPath:
+    """An output that is a directory, an input or another output is refused before any work."""
+
+    @staticmethod
+    def _refuse_work(monkeypatch):
+        called = []
+        for name in ("train", "iter_level_scores", "predict_scores"):
+            monkeypatch.setattr(cli, name, lambda *args: called.append(args))
+        return called
+
+    @pytest.mark.parametrize("flag", ["--model", "--out"])
+    def test_train_output_is_a_directory_exits_2(
+        self, data_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        called = self._refuse_work(monkeypatch)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        before = _files(tmp_path)
+        assert main(train_args(data_dir, tmp_path, **{flag: str(outdir)})) == 2
+        assert capsys.readouterr().err == f"error: output path is a directory: {outdir}\n"
+        assert called == []
+        assert _files(tmp_path) == before
+
+    def test_curve_output_is_a_directory_exits_2(self, data_dir, tmp_path, capsys, monkeypatch):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        called = self._refuse_work(monkeypatch)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        before = _files(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "curve", "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(tmp_path / "model.elmb"), "--out", str(outdir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output path is a directory: {outdir}\n"
+        assert called == []
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["curve", "noise"])
+    @pytest.mark.parametrize("spelling", ["same path", "symlink"])
+    def test_scoring_output_is_the_model_exits_1(
+        self, data_dir, tmp_path, capsys, monkeypatch, command, spelling
+    ):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        called = self._refuse_work(monkeypatch)
+        model = tmp_path / "model.elmb"
+        out = model
+        if spelling == "symlink":
+            out = tmp_path / "link.elmb"
+            out.symlink_to(model)
+        before = _files(tmp_path)
+        capsys.readouterr()
+        code = main([
+            command, "--dataset-dir", str(data_dir), "--classes", "3",
+            "--model", str(model), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output {out} is the same file as {model}\n"
+        assert called == []
+        assert _files(tmp_path) == before
+
+    def test_train_outputs_naming_one_file_exit_1(self, data_dir, tmp_path, capsys, monkeypatch):
+        called = self._refuse_work(monkeypatch)
+        path = tmp_path / "x"
+        before = _files(tmp_path)
+        code = main(train_args(data_dir, tmp_path, **{"--model": str(path), "--out": str(path)}))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output {path} is the same file as {path}\n"
+        assert called == []
+        assert _files(tmp_path) == before
+
+    @pytest.mark.skipif(not Path(os.devnull).is_char_device(), reason="no character device null")
+    def test_character_device_may_be_named_twice(self, data_dir, tmp_path):
+        before = _files(tmp_path)
+        argv = train_args(data_dir, tmp_path, **{"--model": os.devnull, "--out": os.devnull})
+        assert main(argv) == 0
+        assert _files(tmp_path) == before
+
+
 class TestUsage:
     def test_unknown_flag_exits_1(self, tmp_path):
         assert main(["hash-sim", "--bogus"]) == 1
@@ -562,7 +648,7 @@ class TestUsage:
         assert main(train_args(data_dir, tmp_path, **{"--classes": "2"})) == 1
 
     def test_mismatched_split_files_exit_2(self, data_dir, tmp_path):
-        write_idx_labels(np.zeros(7, dtype=np.int64), data_dir / "mnist" / "train-labels-idx1-ubyte.gz")
+        write_idx(data_dir / "mnist" / "train-labels-idx1-ubyte.gz", np.zeros(7))
         assert main(train_args(data_dir, tmp_path)) == 2
 
 
@@ -572,8 +658,8 @@ def _empty_split(data_dir, split):
     suffix = ".gz" if split == "train" else ""
     mnist = data_dir / "mnist"
     images = mnist / f"{stem}-images-idx3-ubyte{suffix}"
-    write_idx_images(np.zeros((0, 16), dtype=np.uint8), images, grid=(4, 4))
-    write_idx_labels(np.zeros(0, dtype=np.int64), mnist / f"{stem}-labels-idx1-ubyte{suffix}")
+    write_idx(images, np.zeros((0, 4, 4)))
+    write_idx(mnist / f"{stem}-labels-idx1-ubyte{suffix}", np.zeros(0))
 
 
 class TestEmptySplit:

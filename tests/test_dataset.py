@@ -21,12 +21,10 @@ from elmboost.dataset import (
     load_idx_labels,
     normalize,
     one_hot_encode,
-    write_idx_images,
-    write_idx_labels,
     zero_pixel_noise,
 )
 
-from helpers import normalize_reference
+from helpers import normalize_reference, write_idx
 
 
 def image_blob(count, rows, cols, payload):
@@ -155,21 +153,17 @@ class TestIdxRoundTrip:
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (5, 12), dtype=np.uint8)
         path = tmp_path / "rt-images"
-        write_idx_images(images, path, grid=(3, 4))
+        write_idx(path, images.reshape(5, 3, 4))
         assert np.array_equal(load_idx_images(path), images)
 
     def test_write_read_gzip(self, tmp_path):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, (4, 9), dtype=np.uint8)
         labels = rng.integers(0, 10, 4)
-        write_idx_images(images, tmp_path / "i.gz", grid=(3, 3))
-        write_idx_labels(labels, tmp_path / "l.gz")
+        write_idx(tmp_path / "i.gz", images.reshape(4, 3, 3))
+        write_idx(tmp_path / "l.gz", labels)
         assert np.array_equal(load_idx_images(tmp_path / "i.gz"), images)
         assert np.array_equal(load_idx_labels(tmp_path / "l.gz"), labels)
-
-    def test_bad_grid_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_idx_images(np.zeros((2, 6), dtype=np.uint8), tmp_path / "x", grid=(2, 2))
 
 
 class TestNormalize:
