@@ -11,7 +11,6 @@ similarity hashes with their analytic collision probability.
 from .boost import (
     BoostedModel,
     HyperParams,
-    TrainReport,
     accuracy,
     classify,
     iter_level_scores,
@@ -50,7 +49,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "ProjectionSpec",
     "RawDataset",
-    "TrainReport",
     "accuracy",
     "classify",
     "collision_probability",

@@ -96,17 +96,6 @@ class BoostedModel:
             raise ValueError(f"weight grid has shape {self.weights.shape}, expected {shape}")
 
 
-@dataclass
-class TrainReport:
-    """Training residual norm after every (level, step).
-
-    The flattened residual_norms sequence is non-increasing (up to rounding):
-    each ridge step can only shrink the training residual.
-    """
-
-    residual_norms: np.ndarray  # levels x t_steps
-
-
 def _slots(levels: int, t_steps: int) -> Iterator[tuple[int, int]]:
     """(level, step) of every step of the flat sequence, in order."""
     return itertools.product(range(levels), range(t_steps))
@@ -128,7 +117,7 @@ def train(
     data: Dataset,
     targets: np.ndarray,
     hyper: HyperParams,
-) -> tuple[BoostedModel, TrainReport]:
+) -> tuple[BoostedModel, np.ndarray]:
     """Fit the boosted ridge ensemble.
 
     Maintains a running residual initialized to the targets.  For every
@@ -163,7 +152,11 @@ def train(
 
     Returns
     -------
-    (BoostedModel, TrainReport)
+    (BoostedModel, residual_norms)
+        residual_norms is the levels x t_steps array of the training
+        residual's norm after each (level, step).  Flattened, it is
+        non-increasing (up to rounding): each ridge step can only shrink
+        the training residual.
     """
     x = data.x
     targets = np.asarray(targets, dtype=np.float64)
@@ -201,7 +194,7 @@ def train(
         pass  # solve returns nothing; the walk runs to its end
 
     model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
-    return model, TrainReport(residual_norms=residual_norms)
+    return model, residual_norms
 
 
 def _encodings(
@@ -218,37 +211,49 @@ def _encodings(
     return hidden
 
 
-def _slot_terms(jobs, by_input: list[list[int]], spec: ProjectionSpec, slot: tuple[int, int]):
-    """{job: hidden·W} of one (level, step) slot for jobs sharing its projection.
+def _slot_terms(spec: ProjectionSpec, by_input, slot: tuple[int, int]):
+    """[(job, model, hidden·W)] of one seed group's (level, step) slot, in job order.
 
     Generates the slot's projection once and encodes each distinct input
     once; jobs scoring the same input share its encoding.
     """
     lv, t = slot
     r = generate_projection(spec, lv, t)
-    terms = {}
-    for sharing in by_input:
-        activations = {jobs[i][0].hyper.activation for i in sharing}
-        hidden = _encodings(jobs[sharing[0]][1], r, activations)
-        for i in sharing:
-            model = jobs[i][0]
-            terms[i] = hidden[model.hyper.activation] @ model.weights[lv, t]
+    terms = []
+    for x, sharing in by_input:
+        hidden = _encodings(x, r, {model.hyper.activation for _, model in sharing})
+        for i, model in sharing:
+            terms.append((i, model, hidden[model.hyper.activation] @ model.weights[lv, t]))
         del hidden  # one input's encodings alive at a time
-    return terms
+    return sorted(terms, key=operator.itemgetter(0))
+
+
+def _add_terms(scores: dict, t_steps: int, slot: tuple[int, int], terms):
+    """Add a slot's terms to its group's running scores; at a level's last step, its scores.
+
+    The level's scores are [(job, level, alpha * scores)] in job order.
+    """
+    lv, t = slot
+    for i, _, term in terms:
+        scores[i] = term if i not in scores else scores[i] + term
+    if t == t_steps - 1:
+        return [(i, lv, model.hyper.alpha * scores[i]) for i, model, _ in terms]
+    return None
 
 
 def _plan(model, x_new):
-    """(single, jobs, groups): every decision of one scoring call, made once.
+    """(single, groups): every decision of one scoring call, made once.
 
     single is the call shape: one model and its samples, or one list of
     (model, samples) jobs with no separate samples (TypeError otherwise).
-    jobs lists the call's (model, samples) pairs with each distinct input
-    converted once to a C-contiguous float64 matrix and checked once: every
-    job's width first, then every input's finiteness (ValueError).  groups
-    holds one (spec, levels, t_steps, by_input) per (seed, hidden width,
-    input width, levels, steps), in order of first appearance: its models
-    share every projection, and by_input lists, in job order, the jobs that
-    pass one input object and so share its X·Rᵀ.
+    Each distinct input is converted once to a C-contiguous float64 matrix
+    and checked once: every job's width first, then every input's
+    finiteness (ValueError).  groups holds one (spec, levels, t_steps,
+    by_input) per (seed, hidden width, input width, levels, steps), in
+    order of first appearance: its models share every projection.
+    by_input pairs each distinct input of the group, in order of first
+    appearance, with the [(job index, model)] list that passes that input
+    object and so shares its X·Rᵀ.
     """
     single = isinstance(model, BoostedModel)
     if single:
@@ -259,7 +264,7 @@ def _plan(model, x_new):
         jobs = list(model)
     # the job list keeps every input alive, so distinct inputs have distinct ids
     inputs = {id(x): np.ascontiguousarray(x, dtype=np.float64) for _, x in jobs}
-    by_key: dict[tuple, dict[int, list[int]]] = {}
+    by_key: dict[tuple, dict[int, list]] = {}
     for i, (job_model, given) in enumerate(jobs):
         x = inputs[id(given)]
         if x.ndim != 2 or x.shape[1] != job_model.input_width:
@@ -269,19 +274,21 @@ def _plan(model, x_new):
             )
         hyper = job_model.hyper
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)
-        by_key.setdefault(key, {}).setdefault(id(given), []).append(i)
+        by_key.setdefault(key, {}).setdefault(id(given), []).append((i, job_model))
     for x in inputs.values():
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
             raise ValueError(
                 f"samples contain non-finite values (first at row {np.argmin(finite)})"
             )
-    jobs = [(job_model, inputs[id(given)]) for job_model, given in jobs]
     groups = [
-        (ProjectionSpec(master_seed=seed, j=j, m=m), levels, t_steps, list(by_input.values()))
+        (
+            ProjectionSpec(master_seed=seed, j=j, m=m), levels, t_steps,
+            [(inputs[x_id], sharing) for x_id, sharing in by_input.items()],
+        )
         for (seed, j, m, levels, t_steps), by_input in by_key.items()
     ]
-    return single, jobs, groups
+    return single, groups
 
 
 def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
@@ -300,45 +307,27 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     come in order.  An empty list yields nothing.
 
     The call is planned once (_plan), when the generator first runs, so a
-    bad call raises there.  The walk then takes the groups one after
-    another, each through its (level, step) slots in train's order, on two
+    bad call raises there.  Each seed group is then one walk of its own
+    (lanes.in_order), the groups one after another in the plan's order.  A
+    walk takes the group's (level, step) slots in train's order on two
     lanes: the calling thread, while the generator runs, and one worker
     thread, which keeps walking while the generator is suspended.  Each
-    computes the slot nobody has taken yet and adds its terms in slot order
-    (lanes.in_order), so at most two slots' terms are alive; a group's
-    level scores are emitted at the level's last step.  The worker is
-    joined when the generator finishes, raises or is closed, so a caller
+    lane computes the slot nobody has taken yet (_slot_terms) and adds its
+    terms to the group's running scores in slot order (_add_terms), so at
+    most two slots' terms are alive; a level's scores are emitted at its
+    last step.  Closing the generator closes the open walk, and a walk
+    joins its worker when it finishes, raises or is closed, so a caller
     that wants the scores through level k breaks out of the loop there.
-    The walk holds numpy's BLAS at one thread for as long as it is open
-    (lanes.in_order).
+    Each walk holds numpy's BLAS at one thread for as long as it is open.
     """
-    single, jobs, groups = _plan(model, x_new)
-    slots = (
-        (g, slot) for g, (_, levels, t_steps, _) in enumerate(groups)
-        for slot in _slots(levels, t_steps)
-    )
-
-    def terms(item: tuple[int, tuple[int, int]]) -> dict[int, np.ndarray]:
-        g, slot = item
-        spec, _, _, by_input = groups[g]
-        return _slot_terms(jobs, by_input, spec, slot)
-
-    scores: dict[int, np.ndarray] = {}
-
-    def add(item: tuple[int, tuple[int, int]], slot_terms: dict[int, np.ndarray]):
-        g, (lv, t) = item
-        for i, term in slot_terms.items():
-            scores[i] = term if i not in scores else scores[i] + term
-        _, _, t_steps, _ = groups[g]
-        if t == t_steps - 1:
-            # every job of the group has a term, so this is the group in job order
-            return [(i, lv, jobs[i][0].hyper.alpha * scores[i]) for i in sorted(slot_terms)]
-        return None
-
-    with closing(lanes.in_order(slots, terms, add)) as walk:
-        for level in walk:
-            for i, lv, level_scores in level:
-                yield (lv, level_scores) if single else (i, lv, level_scores)
+    single, groups = _plan(model, x_new)
+    for spec, levels, t_steps, by_input in groups:
+        work = functools.partial(_slot_terms, spec, by_input)
+        finish = functools.partial(_add_terms, {}, t_steps)
+        with closing(lanes.in_order(_slots(levels, t_steps), work, finish)) as walk:
+            for level in walk:
+                for i, lv, level_scores in level:
+                    yield (lv, level_scores) if single else (i, lv, level_scores)
 
 
 def predict_scores(model, x_new=None):

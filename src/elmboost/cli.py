@@ -101,18 +101,25 @@ def find_idx_file(dataset_dir, dataset: str, kind: str) -> Path:
     raise FileNotFoundError(f"no {stem}[.gz] found under {bases[0]} or {bases[1]}")
 
 
-def _load_split(args, split: str) -> RawDataset:
-    images_path = find_idx_file(args.dataset_dir, args.dataset, f"{split}_images")
+def _split_files(args, split: str) -> tuple[Path, Path]:
+    """The (images, labels) IDX files of one split, found before any output is checked."""
+    return tuple(
+        find_idx_file(args.dataset_dir, args.dataset, f"{split}_{kind}") for kind in ("images", "labels")
+    )
+
+
+def _load_split(split: str, files: tuple[Path, Path], num_classes: int) -> RawDataset:
+    images_path, labels_path = files
     images = load_idx_images(images_path)
     if images.shape[0] == 0:
         raise IdxError(f"{images_path}: the {split} split has no images")
-    labels = load_idx_labels(find_idx_file(args.dataset_dir, args.dataset, f"{split}_labels"))
+    labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxError(
             f"{split} image and label files disagree: {images.shape[0]} images, "
             f"{labels.shape[0]} labels"
         )
-    return RawDataset(images=images, labels=labels, num_classes=args.classes)
+    return RawDataset(images=images, labels=labels, num_classes=num_classes)
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -143,8 +150,9 @@ def _check_outputs(outputs, inputs=()) -> None:
     fails at once instead of after the run.  An output whose directory is
     missing raises FileNotFoundError and one that is a directory
     IsADirectoryError (exit 2).  An output that names the same file as one
-    of the inputs (the --model files a command reads) or as another output
-    raises UsageError (exit 1) instead of overwriting it.
+    of the inputs (the --model files and the IDX files of the split a
+    command reads) or as another output raises UsageError (exit 1) instead
+    of overwriting it.
     """
     missing = [f"{Path(p).parent} (for {p})" for p in outputs if not Path(p).parent.is_dir()]
     if missing:
@@ -169,8 +177,9 @@ def _check_model_matches(model, data) -> None:
 
 
 def cmd_train(args) -> int:
-    _check_outputs([args.model, args.out])
-    raw = _load_split(args, "train")
+    files = _split_files(args, "train")
+    _check_outputs([args.model, args.out], files)
+    raw = _load_split("train", files, args.classes)
     if args.train_subset is not None:
         if args.train_subset < 1:
             raise UsageError("--train-subset must be >= 1")
@@ -197,12 +206,12 @@ def cmd_train(args) -> int:
         hyper.hidden, hyper.activation.value, hyper.master_seed,
     )
     started = time.perf_counter()
-    model, report = train(data, targets, hyper)
+    model, residual_norms = train(data, targets, hyper)
     log.info("trained in %.1f s", time.perf_counter() - started)
     model_store.save(model, args.model)
     log.info("saved model to %s", args.model)
     rows = [
-        (lv, t, report.residual_norms[lv, t])
+        (lv, t, residual_norms[lv, t])
         for lv in range(hyper.levels)
         for t in range(hyper.t_steps)
     ]
@@ -211,9 +220,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    _check_outputs([args.out], args.model)
+    files = _split_files(args, "test")
+    _check_outputs([args.out], [*args.model, *files])
     models = [model_store.load(path) for path in args.model]
-    data = normalize(_load_split(args, "test"))
+    data = normalize(_load_split("test", files, args.classes))
     for model in models:
         _check_model_matches(model, data)
     if len(models) > 1:
@@ -234,12 +244,13 @@ def cmd_curve(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    _check_outputs([args.out], [args.model])
+    files = _split_files(args, "test")
+    _check_outputs([args.out], [args.model, *files])
     for fraction in args.noise_fraction:
         if not 0.0 <= fraction <= 1.0:
             raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
     model = model_store.load(args.model)
-    raw = _load_split(args, "test")
+    raw = _load_split("test", files, args.classes)
     _check_model_matches(model, raw)
 
     def noisy(fraction: float):

@@ -88,8 +88,8 @@ def test_criterion_2_residual_monotonicity():
             lam=1.0, alpha=alphas[trial % 3], t_steps=5, levels=3, hidden=16,
             master_seed=trial,
         )
-        _, report = train(data, y, hyper)
-        norms = report.residual_norms.ravel()
+        _, norms = train(data, y, hyper)
+        norms = norms.ravel()
         slack = 1e-9 * np.linalg.norm(y)
         assert np.all(norms[1:] <= norms[:-1] + slack), f"trial {trial}"
         assert norms[0] <= np.linalg.norm(y) + slack

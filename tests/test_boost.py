@@ -18,7 +18,6 @@ from elmboost import boost, lanes, linalg, model_store
 from elmboost.boost import (
     BoostedModel,
     HyperParams,
-    TrainReport,
     accuracy,
     classify,
     iter_level_scores,
@@ -119,8 +118,8 @@ class TestTrain:
         data = make_dataset(rng, 100, 10, 3)
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(lam=1.0, alpha=alpha, t_steps=4, levels=3, hidden=10, master_seed=2)
-        _, report = train(data, y, hyper)
-        norms = report.residual_norms.ravel()
+        _, norms = train(data, y, hyper)
+        norms = norms.ravel()
         slack = 1e-9 * np.linalg.norm(y)
         assert np.all(norms[1:] <= norms[:-1] + slack)
         assert norms[0] <= np.linalg.norm(y) + slack
@@ -130,7 +129,7 @@ class TestTrain:
         data = make_dataset(rng, 120, 14, 4)
         y = one_hot_encode(data.labels, 4)
         hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=3, levels=3, hidden=11, master_seed=7)
-        model, report = train(data, y, hyper)
+        model, residual_norms = train(data, y, hyper)
         # replay the residual updates from the stored weights: the projections
         # regenerate, so this retraces the trainer's arithmetic exactly
         spec = ProjectionSpec(master_seed=7, j=11, m=14)
@@ -139,7 +138,7 @@ class TestTrain:
             for t in range(3):
                 h = encode(data.x, generate_projection(spec, lv, t), Activation.TANH)
                 replay -= hyper.alpha * (h @ model.weights[lv, t])
-        assert abs(np.linalg.norm(replay) - report.residual_norms[-1, -1]) <= 1e-12
+        assert abs(np.linalg.norm(replay) - residual_norms[-1, -1]) <= 1e-12
         # the prediction path sums the same terms in a different association
         scores = predict_scores(model, data.x)
         fit = y - replay
@@ -188,10 +187,10 @@ class TestTrain:
         data = make_dataset(rng, 20, 5, 2)
         y = one_hot_encode(data.labels, 2)
         hyper = HyperParams(t_steps=2, levels=2, hidden=4, master_seed=1)
-        model, report = train(data, y.astype(np.int64), hyper)
-        want_model, want_report = train(data, y, hyper)
+        model, residual_norms = train(data, y.astype(np.int64), hyper)
+        want_model, want_norms = train(data, y, hyper)
         assert np.array_equal(_bits(model.weights), _bits(want_model.weights))
-        assert np.array_equal(report.residual_norms, want_report.residual_norms)
+        assert np.array_equal(residual_norms, want_norms)
 
     def test_cholesky_failure_carries_level_and_step(self):
         # all-zero samples give a zero Gram matrix, unsolvable at lambda = 0
@@ -235,10 +234,10 @@ class TestOverlappedTrain:
             lam=0.5, alpha=0.5, t_steps=t_steps, levels=levels, hidden=10,
             activation=activation, master_seed=8,
         )
-        model, report = train(data, y, hyper)
+        model, residual_norms = train(data, y, hyper)
         weights, norms = train_reference(data, y, hyper)
         assert np.array_equal(_bits(model.weights), _bits(weights))
-        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+        assert np.array_equal(_bits(residual_norms), _bits(norms))
 
     @pytest.mark.parametrize(
         "failing, first",
@@ -278,12 +277,12 @@ class TestOverlappedTrain:
         data = make_dataset(rng, 50, 8, 3)
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(t_steps=2, levels=2, hidden=9, master_seed=4)
-        model, report = train(data, y, hyper)
+        model, residual_norms = train(data, y, hyper)
         fallback = linalg._scipy_lapack(linalg._library(linalg._flapack_path()))
         monkeypatch.setattr(linalg, "_LAPACK", fallback)
-        fallback, fallback_report = train(data, y, hyper)
+        fallback, fallback_norms = train(data, y, hyper)
         assert np.array_equal(_bits(fallback.weights), _bits(model.weights))
-        assert np.array_equal(_bits(fallback_report.residual_norms), _bits(report.residual_norms))
+        assert np.array_equal(_bits(fallback_norms), _bits(residual_norms))
 
     def test_at_most_two_encodings_alive(self):
         # encodings dominate at this shape: N x J is 16 times J x J and 32
@@ -761,13 +760,13 @@ class TestLanes:
         data = make_dataset(rng, 60, 12, 3)
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(lam=0.5, t_steps=3, levels=2, hidden=10, master_seed=8)
-        model, report = train(data, y, hyper)
+        model, residual_norms = train(data, y, hyper)
         order = [slot for slot, _ in made]
         # the worker's slot 1 is made before the caller's slot 0: out of order
         assert sorted(order) == list(itertools.product(range(2), range(3))) != order
         weights, norms = train_reference(data, y, hyper)
         assert np.array_equal(_bits(model.weights), _bits(weights))
-        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+        assert np.array_equal(_bits(residual_norms), _bits(norms))
 
         made.clear()
         models = [_random_model(rng, Activation.TANH, levels=3), _random_model(rng, Activation.SIGN, levels=3)]
@@ -793,14 +792,14 @@ class TestLanes:
         data = make_dataset(rng, 60, 12, 3)
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(lam=0.5, t_steps=2, levels=3, hidden=10, master_seed=9)
-        model, report = train(data, y, hyper)
+        model, residual_norms = train(data, y, hyper)
         maker = dict(made)
         # slot i is solved i-th, on the thread that factored it
         assert solved == [maker[slot] for slot in itertools.product(range(3), range(2))]
         assert len(set(solved)) == 2
         weights, norms = train_reference(data, y, hyper)
         assert np.array_equal(_bits(model.weights), _bits(weights))
-        assert np.array_equal(_bits(report.residual_norms), _bits(norms))
+        assert np.array_equal(_bits(residual_norms), _bits(norms))
 
     def test_error_in_a_worker_solve_names_its_slot_and_leaves_no_thread(self, monkeypatch):
         made = []
@@ -854,6 +853,63 @@ class TestLanes:
                 assert np.array_equal(_bits(a), _bits(b))
         for head, full in zip(got["head"], got["all"], strict=False):
             assert head[:2] == full[:2] and np.array_equal(_bits(head[2]), _bits(full[2]))
+
+    @staticmethod
+    def _two_seed_jobs(rng):
+        first = _random_model(rng, Activation.TANH, seed=3, levels=2, t_steps=2)
+        second = _random_model(rng, Activation.SIGN, seed=4, levels=3, t_steps=2)
+        x = normalized_rows(rng, 30, 16)
+        return [(first, x), (second, x)]
+
+    @staticmethod
+    def _taken_in_a_runner(jobs, stop_at=None):
+        """Items taken from iter_level_scores(jobs) on another thread, up to (job, level) stop_at.
+
+        Returns (taken, error); the runner must end within the timeout and
+        leave no lane thread behind.
+        """
+        taken, errors = [], []
+
+        def walk():
+            try:
+                for i, lv, scores in iter_level_scores(jobs):
+                    taken.append((i, lv, scores))
+                    if (i, lv) == stop_at:
+                        break
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=walk)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the walk hung"
+        assert [t for t in threading.enumerate() if t.name == "elmboost-lane"] == []
+        return taken, errors
+
+    def test_break_in_the_second_group_leaves_no_lane(self):
+        jobs = self._two_seed_jobs(np.random.default_rng(64))
+        taken, errors = self._taken_in_a_runner(jobs, stop_at=(1, 1))
+        assert errors == []
+        assert [(i, lv) for i, lv, _ in taken] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for i, lv, scores in taken:
+            want_lv, want = level_scores_reference(*jobs[i])[lv]
+            assert want_lv == lv and np.array_equal(_bits(scores), _bits(want))
+
+    def test_error_in_the_second_group_comes_after_the_first_group(self, monkeypatch):
+        def generate(spec, level, step):
+            if spec.master_seed == 4 and (level, step) == (0, 1):
+                raise RuntimeError("second group, slot (0, 1)")
+            return generate_projection(spec, level, step)
+
+        monkeypatch.setattr(boost, "generate_projection", generate)
+        jobs = self._two_seed_jobs(np.random.default_rng(65))
+        taken, errors = self._taken_in_a_runner(jobs)
+        assert [str(exc) for exc in errors] == ["second group, slot (0, 1)"]
+        # level 0 of the second group ends at the failing slot, so only the
+        # first group's levels come out, every one of them
+        assert [(i, lv) for i, lv, _ in taken] == [(0, 0), (0, 1)]
+        for (_, _, scores), (_, want) in zip(taken, level_scores_reference(*jobs[0])):
+            assert np.array_equal(_bits(scores), _bits(want))
 
 
 class TestInOrder:

@@ -629,6 +629,39 @@ class TestUnsafeOutputPath:
         assert called == []
         assert _files(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "command, flag, idx_name",
+        [
+            ("train", "--model", "train-images-idx3-ubyte.gz"),
+            ("train", "--out", "train-labels-idx1-ubyte.gz"),
+            ("curve", "--out", "t10k-images-idx3-ubyte"),
+            ("noise", "--out", "t10k-labels-idx1-ubyte"),
+        ],
+    )
+    def test_output_naming_a_dataset_file_exits_1(
+        self, data_dir, tmp_path, capsys, monkeypatch, command, flag, idx_name
+    ):
+        model = tmp_path / "model.elmb"
+        if command != "train":
+            assert main(train_args(data_dir, tmp_path)) == 0
+        called = self._refuse_work(monkeypatch)
+        idx = data_dir / "mnist" / idx_name
+        idx_bytes = idx.read_bytes()
+        before = _files(tmp_path)
+        capsys.readouterr()
+        if command == "train":
+            argv = train_args(data_dir, tmp_path, **{flag: str(idx)})
+        else:
+            argv = [
+                command, "--dataset-dir", str(data_dir), "--classes", "3",
+                "--model", str(model), flag, str(idx),
+            ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: output {idx} is the same file as {idx}\n"
+        assert called == []
+        assert idx.read_bytes() == idx_bytes
+        assert _files(tmp_path) == before
+
     @pytest.mark.skipif(not Path(os.devnull).is_char_device(), reason="no character device null")
     def test_character_device_may_be_named_twice(self, data_dir, tmp_path):
         before = _files(tmp_path)
