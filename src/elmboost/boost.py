@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import math
 import operator
 from contextlib import closing
 from dataclasses import dataclass
@@ -22,21 +21,9 @@ import numpy as np
 
 from . import lanes, linalg
 from .dataset import Dataset
-from .projection import Activation, ProjectionSpec, activate, encode, generate_projection
+from .projection import Activation, ProjectionSpec, activate, check_ints, encode, generate_projection
 
 log = logging.getLogger(__name__)
-
-
-def _check_header_ints(owner, fields) -> None:
-    """Raise ValueError unless each (name, low, bits) field of owner lies in [low, 2**bits)."""
-    for name, low, bits in fields:
-        value = getattr(owner, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if not low <= value < 2**bits:
-            raise ValueError(f"{name} must be >= {low} and < 2**{bits}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +46,11 @@ class HyperParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        linalg.check_lam(self.lam)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        _check_header_ints(
-            self, (("t_steps", 1, 32), ("levels", 1, 32), ("hidden", 1, 32), ("master_seed", 0, 64))
-        )
+        check_ints(1, 32, t_steps=self.t_steps, levels=self.levels, hidden=self.hidden)
+        check_ints(0, 64, master_seed=self.master_seed)
         if not isinstance(self.activation, Activation):
             raise ValueError(f"activation must be an Activation, got {self.activation!r}")
 
@@ -88,7 +73,7 @@ class BoostedModel:
     input_width: int
 
     def __post_init__(self):
-        _check_header_ints(self, (("num_classes", 1, 32), ("input_width", 1, 32)))
+        check_ints(1, 32, num_classes=self.num_classes, input_width=self.input_width)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         hyper = self.hyper
         shape = (hyper.levels, hyper.t_steps, hyper.hidden, self.num_classes)

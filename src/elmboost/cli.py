@@ -6,7 +6,9 @@ machine cannot allocate included), 2 I/O or file format error, 3 numerical
 failure.
 
 Each input is checked once, where it is used (HyperParams, RawDataset, the
-scorer); main maps the exception type to the exit code and prints one line.
+scorer), or as its flag is parsed (--seed and --noise-fraction, by the same
+rules the library applies); main maps the exception type to the exit code
+and prints one line.
 OSError, IdxError and ModelFormatError exit 2; NotPositiveDefiniteError and
 FloatingPointError exit 3; MemoryError and every other ValueError, numpy's
 "array is too big" included, exit 1.  Anything else (a LAPACK argument
@@ -32,6 +34,7 @@ from .boost import HyperParams, accuracy, classify, iter_level_scores, predict_s
 from .dataset import (
     IdxError,
     RawDataset,
+    check_noise_fraction,
     load_idx_images,
     load_idx_labels,
     normalize,
@@ -39,7 +42,7 @@ from .dataset import (
     zero_pixel_noise,
 )
 from .linalg import NotPositiveDefiniteError
-from .projection import Activation, collision_probability, estimate_collision_rate
+from .projection import Activation, check_ints, collision_probability, estimate_collision_rate
 
 log = logging.getLogger(__name__)
 
@@ -68,12 +71,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """argparse type for seeds: a nonnegative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
-    return value
+def _checked(parse, check):
+    """argparse type: parse the flag's text, then check the value; a refusal names the flag."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
+
+
+#: argparse type for seeds: an integer in [0, 2**64), the model file's seed field.
+_seed = _checked(int, lambda value: check_ints(0, 64, seed=value))
 
 
 def _finite_float(text: str) -> float:
@@ -138,7 +151,7 @@ def _file_key(path):
     """
     try:
         st = os.stat(path)
-    except OSError:
+    except FileNotFoundError:
         return Path(path).resolve()
     return object() if stat.S_ISCHR(st.st_mode) else (st.st_dev, st.st_ino)
 
@@ -246,9 +259,6 @@ def cmd_curve(args) -> int:
 def cmd_noise(args) -> int:
     files = _split_files(args, "test")
     _check_outputs([args.out], [args.model, *files])
-    for fraction in args.noise_fraction:
-        if not 0.0 <= fraction <= 1.0:
-            raise UsageError(f"--noise-fraction must lie in [0, 1], got {fraction}")
     model = model_store.load(args.model)
     raw = _load_split("test", files, args.classes)
     _check_model_matches(model, raw)
@@ -353,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise = sub.add_parser("noise", help="accuracy on test images with pixels zeroed")
     _add_dataset_flags(p_noise)
     p_noise.add_argument("--model", default="model.elmb", help="trained model path")
-    p_noise.add_argument("--noise-fraction", type=float, nargs="+", default=[0.1],
+    p_noise.add_argument("--noise-fraction", type=_checked(float, check_noise_fraction),
+                         nargs="+", default=[0.1],
                          help="fraction(s) of pixels to zero per image (default 0.1)")
     p_noise.add_argument("--seed", type=_seed, default=0, help="noise position seed (default 0)")
     p_noise.add_argument("--out", default="noise.csv", help="output CSV path")

@@ -57,16 +57,7 @@ class RawDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.images = np.ascontiguousarray(self.images, dtype=np.uint8)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2 or self.images.shape[1] < 1:
-            raise ValueError(f"images must be N x M with M >= 1, got shape {self.images.shape}")
-        _check_labels(self.labels, self.num_classes)
-        if self.labels.shape[0] != self.images.shape[0]:
-            raise ValueError(
-                f"image/label count mismatch: {self.images.shape[0]} images, "
-                f"{self.labels.shape[0]} labels"
-            )
+        self.images, self.labels = _samples(self.images, self.labels, self.num_classes, np.uint8)
 
 
 @dataclass
@@ -82,16 +73,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.x.ndim != 2 or self.x.shape[1] < 1:
-            raise ValueError(f"samples must be N x M with M >= 1, got shape {self.x.shape}")
-        _check_labels(self.labels, self.num_classes)
-        if self.labels.shape[0] != self.x.shape[0]:
-            raise ValueError(
-                f"sample/label count mismatch: {self.x.shape[0]} rows, "
-                f"{self.labels.shape[0]} labels"
-            )
+        self.x, self.labels = _samples(self.x, self.labels, self.num_classes, np.float64)
         if self.x.size:
             norms = _row_norms(self.x)
             means = self.x.mean(axis=1)
@@ -111,6 +93,28 @@ def _check_labels(labels: np.ndarray, k: int) -> None:
         raise ValueError(f"num_classes must be >= 1, got {k}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes: [{labels.min()}, {labels.max()}]")
+
+
+def _samples(x, labels, k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(x as a C-contiguous dtype matrix, labels as C-contiguous int64), checked as one set.
+
+    Raises ValueError unless x is N x M with M >= 1 and labels holds one
+    label in [0, k) per row.
+    """
+    x = np.ascontiguousarray(x, dtype=dtype)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"samples must be N x M with M >= 1, got shape {x.shape}")
+    _check_labels(labels, k)
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError(f"sample/label count mismatch: {x.shape[0]} rows, {labels.shape[0]} labels")
+    return x, labels
+
+
+def check_noise_fraction(fraction: float) -> None:
+    """Raise ValueError unless the pixel-noise fraction lies in [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
 
 
 def _read_maybe_gzipped(path) -> bytes:
@@ -219,8 +223,7 @@ def zero_pixel_noise(raw: RawDataset, fraction: float, seed: int) -> RawDataset:
     deterministically from the seed.  This operates on raw intensities,
     before normalization; the original dataset is left untouched.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
+    check_noise_fraction(fraction)
     n, m = raw.images.shape
     n_zero = int(math.floor(fraction * m + 0.5))  # round half up, not banker's
     images = raw.images.copy()

@@ -35,6 +35,7 @@ import importlib
 import importlib.machinery
 import importlib.util
 import logging
+import math
 import os
 import threading
 from typing import Callable, NamedTuple
@@ -277,15 +278,21 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return factor_solve(c, b)
 
 
+def check_lam(lam: float) -> None:
+    """Raise ValueError unless the ridge regularizer λ is finite and nonnegative."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+
+
 def ridge_factor(h: np.ndarray, lam: float) -> np.ndarray:
     """Cholesky factor of HᵀH + λI, for factor_solve; it does not depend on the targets.
 
+    λ must be finite and nonnegative (check_lam; ValueError otherwise).
     Returns an F-ordered J×J array whose lower triangle is the factor; the
     strict upper triangle keeps HᵀH.  The factor overwrites the Gram
     matrix's own memory, so no J×J copy is made.
     """
-    if lam < 0:
-        raise ValueError(f"regularizer must be nonnegative, got {lam}")
+    check_lam(lam)
     g = gram(np.asarray(h, dtype=np.float64))
     if lam:
         g[np.diag_indices_from(g)] += lam
@@ -299,7 +306,7 @@ def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
     Returns the (h.cols × y.cols) minimizer of ‖HW − Y‖² + λ‖W‖².  With
     λ = 0 this degenerates to ordinary least squares and requires HᵀH to
-    be nonsingular.
+    be nonsingular.  λ is checked as ridge_factor checks it.
     """
     if h.ndim != 2 or y.ndim != 2 or h.shape[0] != y.shape[0]:
         raise ValueError(f"ridge_solve shape mismatch: h is {h.shape}, y is {y.shape}")

@@ -31,6 +31,7 @@ id recorded in model files: a new scheme gets a new id, never a silent edit.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,23 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: Stride separating levels in the sub-stream index space; (level, step)
-#: pairs with step below this bound can never collide.
+#: Stride separating levels in the sub-stream index space.  Level and step
+#: both lie below it, so each (level, step) pair has its own 64-bit index.
 _LEVEL_STRIDE = 1 << 32
 
 #: Identifier of the SplitMix64 + Box-Muller scheme documented above.
 GENERATOR_SPLITMIX_BOX_MULLER = 0
+
+
+def check_ints(low: int, bits: int, **values) -> None:
+    """Raise ValueError unless each named value is an integer in [low, 2**bits)."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not low <= value < 2**bits:
+            raise ValueError(f"{name} must be >= {low} and < 2**{bits}, got {value}")
 
 
 class Activation(enum.Enum):
@@ -57,17 +69,19 @@ class Activation(enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Everything needed to regenerate every projection matrix of a model."""
+    """Everything needed to regenerate every projection matrix of a model.
+
+    master_seed must be an integer in [0, 2**64), and j and m integers in
+    [1, 2**32), the widths of the model file's fields (ValueError otherwise).
+    """
 
     master_seed: int
     j: int  # hidden width: rows of each projection matrix
     m: int  # input width: columns of each projection matrix
 
     def __post_init__(self):
-        if self.j < 1 or self.m < 1:
-            raise ValueError(f"projection dimensions must be >= 1, got {self.j}x{self.m}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        check_ints(1, 32, j=self.j, m=self.m)
+        check_ints(0, 64, master_seed=self.master_seed)
 
 
 def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
@@ -134,13 +148,11 @@ def generate_projection(spec: ProjectionSpec, level: int, step: int) -> np.ndarr
 
     A pure function of its arguments: training and prediction call this
     independently and obtain bit-identical matrices, which is what lets a
-    model omit the projections entirely.  Distinct (level, step) pairs draw
-    from statistically independent sub-streams.
+    model omit the projections entirely.  level and step must be integers
+    in [0, 2**32), the level stride (ValueError otherwise), so distinct
+    (level, step) pairs draw from statistically independent sub-streams.
     """
-    if level < 0 or step < 0:
-        raise ValueError(f"level and step must be nonnegative, got ({level}, {step})")
-    if step >= _LEVEL_STRIDE:
-        raise ValueError(f"step {step} exceeds the sub-stream stride")
+    check_ints(0, 32, level=level, step=step)
     seed = _stream_seed(spec, level, step)
     return _normals(seed, spec.j * spec.m).reshape(spec.j, spec.m)
 
@@ -190,6 +202,15 @@ def hash_signature(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _sign(r @ x)
 
 
+def _vector_pair(x, x_other) -> tuple[np.ndarray, np.ndarray]:
+    """x and x_other as float64 vectors; ValueError unless they share one 1-D shape."""
+    x = np.asarray(x, dtype=np.float64)
+    x_other = np.asarray(x_other, dtype=np.float64)
+    if x.shape != x_other.shape or x.ndim != 1:
+        raise ValueError(f"vectors must share one shape, got {x.shape} and {x_other.shape}")
+    return x, x_other
+
+
 def collision_probability(x: np.ndarray, x_other: np.ndarray) -> float:
     """Probability that one random hyperplane hashes x and x_other alike.
 
@@ -198,10 +219,7 @@ def collision_probability(x: np.ndarray, x_other: np.ndarray) -> float:
     cosine is clamped to [−1, 1] before the arccos so floating-point noise
     cannot produce a NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_other = np.asarray(x_other, dtype=np.float64)
-    if x.shape != x_other.shape or x.ndim != 1:
-        raise ValueError(f"vectors must share one shape, got {x.shape} and {x_other.shape}")
+    x, x_other = _vector_pair(x, x_other)
     if not x.any() or not x_other.any():
         raise ValueError("collision probability is undefined for zero vectors")
     if np.array_equal(x, x_other):
@@ -220,9 +238,6 @@ def estimate_collision_rate(x: np.ndarray, x_other: np.ndarray, j: int, seed: in
     estimate is reproducible; it concentrates around collision_probability
     at the usual binomial rate sqrt(p(1-p)/j).
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_other = np.asarray(x_other, dtype=np.float64)
-    if x.shape != x_other.shape or x.ndim != 1:
-        raise ValueError(f"vectors must share one shape, got {x.shape} and {x_other.shape}")
+    x, x_other = _vector_pair(x, x_other)
     r = generate_projection(ProjectionSpec(master_seed=seed, j=j, m=x.shape[0]), 0, 0)
     return float(np.mean(hash_signature(x, r) == hash_signature(x_other, r)))

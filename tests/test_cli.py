@@ -662,6 +662,43 @@ class TestUnsafeOutputPath:
         assert idx.read_bytes() == idx_bytes
         assert _files(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--model"),
+            ("train", "--out"),
+            ("curve", "--out"),
+            ("curve", "--model"),
+            ("noise", "--out"),
+            ("hash-sim", "--out"),
+        ],
+    )
+    def test_path_that_cannot_be_stated_exits_2(
+        self, data_dir, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        if command in ("curve", "noise"):
+            assert main(train_args(data_dir, tmp_path)) == 0
+        called = self._refuse_work(monkeypatch)
+        loop = tmp_path / "loop"
+        loop.symlink_to("loop")  # stat fails with ELOOP
+        before = _files(tmp_path)
+        capsys.readouterr()
+        if command == "train":
+            argv = train_args(data_dir, tmp_path, **{flag: str(loop)})
+        elif command == "hash-sim":
+            argv = [command, flag, str(loop)]
+        else:
+            flags = {"--model": str(tmp_path / "model.elmb"), "--out": str(tmp_path / "o.csv")}
+            flags[flag] = str(loop)
+            argv = [command, "--dataset-dir", str(data_dir), "--classes", "3"]
+            for name, value in flags.items():
+                argv.extend([name, value])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and repr(str(loop)) in err
+        assert called == []
+        assert _files(tmp_path) == before
+
     @pytest.mark.skipif(not Path(os.devnull).is_char_device(), reason="no character device null")
     def test_character_device_may_be_named_twice(self, data_dir, tmp_path):
         before = _files(tmp_path)
@@ -673,6 +710,29 @@ class TestUnsafeOutputPath:
 class TestUsage:
     def test_unknown_flag_exits_1(self, tmp_path):
         assert main(["hash-sim", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "noise", "hash-sim"])
+    def test_seed_wider_than_the_model_field_exits_1(
+        self, data_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        if command == "noise":
+            assert main(train_args(data_dir, tmp_path)) == 0
+        checked = []
+        # every command checks its outputs before it reads any input
+        monkeypatch.setattr(cli, "_check_outputs", lambda *args: checked.append(args))
+        before = _files(tmp_path)
+        capsys.readouterr()
+        argv = {
+            "train": train_args(data_dir, tmp_path),
+            "noise": ["noise", "--dataset-dir", str(data_dir), "--classes", "3",
+                      "--model", str(tmp_path / "model.elmb"), "--out", str(tmp_path / "n.csv")],
+            "hash-sim": ["hash-sim", "--out", str(tmp_path / "h.csv")],
+        }[command]
+        assert main([*argv, "--seed", str(2**64)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: argument --seed: seed must be >= 0 and < 2**64, got {2**64}\n"
+        assert checked == []
+        assert _files(tmp_path) == before
 
     def test_missing_subcommand_exits_1(self):
         assert main([]) == 1

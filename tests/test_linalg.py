@@ -273,6 +273,13 @@ class TestRidgeFactor:
         with pytest.raises(ValueError):
             ridge_factor(np.eye(3), -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            ridge_factor(np.eye(3), lam)
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            ridge_solve(np.eye(3), np.ones((3, 1)), lam)
+
     def test_singular_raises_with_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as excinfo:
             ridge_factor(np.ones((4, 3)), 0.0)

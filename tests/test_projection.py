@@ -53,8 +53,20 @@ class TestGenerateProjection:
             generate_projection(spec, -1, 0)
         with pytest.raises(ValueError):
             generate_projection(spec, 0, -1)
-        with pytest.raises(ValueError, match="stride"):
+        with pytest.raises(ValueError, match=r"step must be >= 0 and < 2\*\*32"):
             generate_projection(spec, 0, 2**32)
+        # level 2**32 + k would alias level k's sub-stream
+        for level in (2**32, 2**32 + 5):
+            with pytest.raises(ValueError, match=r"level must be >= 0 and < 2\*\*32"):
+                generate_projection(spec, level, 1)
+        assert generate_projection(spec, 2**32 - 1, 2**32 - 1).shape == (4, 4)
+        for level, step in ((1.5, 0), (0.0, 0), (0, 1.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                generate_projection(spec, level, step)
+        for field in ({"master_seed": 1.5}, {"master_seed": 2.0}, {"master_seed": 2**64},
+                      {"j": 2.5}, {"m": 4.0}, {"j": 2**32}, {"m": 0}):
+            with pytest.raises(ValueError, match=next(iter(field))):
+                ProjectionSpec(**{"master_seed": 0, "j": 4, "m": 4, **field})
 
 
 class TestEncode:
