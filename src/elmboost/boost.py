@@ -26,6 +26,12 @@ from .projection import Activation, ProjectionSpec, activate, check_ints, encode
 log = logging.getLogger(__name__)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the discount alpha lies in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Training configuration; with the master seed it fully determines a model.
@@ -34,7 +40,10 @@ class HyperParams:
     a (levels=1, t_steps=1, alpha=1) model reduces to a plain single-solve
     ELM.  hidden is the width J of every random encoding.  levels, t_steps
     and hidden must be integers in [1, 2**32) and master_seed an integer in
-    [0, 2**64): the model file stores them as u32 and u64 fields.
+    [0, 2**64): the model file stores them as u32 and u64 fields.  Each
+    value is checked by the one rule for it (linalg.check_lam, check_alpha,
+    projection.check_ints), which the command line applies to its flags as
+    they are parsed; ValueError otherwise.
     """
 
     lam: float = 1.0
@@ -47,8 +56,7 @@ class HyperParams:
 
     def __post_init__(self):
         linalg.check_lam(self.lam)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         check_ints(1, 32, t_steps=self.t_steps, levels=self.levels, hidden=self.hidden)
         check_ints(0, 64, master_seed=self.master_seed)
         if not isinstance(self.activation, Activation):

@@ -5,9 +5,11 @@ are byte-reproducible.  Exit codes: 0 success, 1 usage error (sizes the
 machine cannot allocate included), 2 I/O or file format error, 3 numerical
 failure.
 
-Each input is checked once, where it is used (HyperParams, RawDataset, the
-scorer), or as its flag is parsed (--seed and --noise-fraction, by the same
-rules the library applies); main maps the exception type to the exit code
+Every value flag is checked as it is parsed, by the rule the library applies
+to that value (check_ints, check_lam, check_alpha, check_noise_fraction), so a
+bad value exits 1 with one line naming its flag before any file is looked
+up.  The library keeps its own checks; everything else is checked where it is
+used (RawDataset, the scorer).  main maps the exception type to the exit code
 and prints one line.
 OSError, IdxError and ModelFormatError exit 2; NotPositiveDefiniteError and
 FloatingPointError exit 3; MemoryError and every other ValueError, numpy's
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import os
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lanes, model_store
-from .boost import HyperParams, accuracy, classify, iter_level_scores, predict_scores, train
+from .boost import HyperParams, accuracy, check_alpha, classify, iter_level_scores, predict_scores, train
 from .dataset import (
     IdxError,
     RawDataset,
@@ -41,7 +44,7 @@ from .dataset import (
     one_hot_encode,
     zero_pixel_noise,
 )
-from .linalg import NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError, check_lam
 from .projection import Activation, check_ints, collision_probability, estimate_collision_rate
 
 log = logging.getLogger(__name__)
@@ -71,13 +74,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked(parse, check):
-    """argparse type: parse the flag's text, then check the value; a refusal names the flag."""
+# Cached, as is _ints, so that every parser shares one function per flag rule:
+# fresh closures would join the parser's reference cycles and outlive main
+# until a full garbage collection.
+@functools.cache
+def _checked(parse, rule):
+    """argparse type: parse the flag's text, then apply the library's rule for the value.
+
+    A ValueError from either becomes the flag's one-line usage error (exit 1),
+    raised while the command line is parsed, before any file is looked up.
+    """
 
     def convert(text: str):
         try:
             value = parse(text)
-            check(value)
+            rule(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -85,16 +96,19 @@ def _checked(parse, check):
     return convert
 
 
-#: argparse type for seeds: an integer in [0, 2**64), the model file's seed field.
-_seed = _checked(int, lambda value: check_ints(0, 64, seed=value))
+@functools.cache
+def _ints(name: str, low: int, bits: int = 32):
+    """Rule for an integer flag: check_ints in [low, 2**bits), naming the value."""
+    return lambda value: check_ints(low, bits, **{name: value})
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for values that must be finite (no nan or inf)."""
-    value = float(text)
+def _finite(value: float) -> None:
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+        raise ValueError(f"expected a finite number, got {value}")
+
+
+#: argparse type for seeds: an integer in [0, 2**64), the model file's seed field.
+_seed = _checked(int, _ints("seed", 0, 64))
 
 
 def find_idx_file(dataset_dir, dataset: str, kind: str) -> Path:
@@ -194,8 +208,6 @@ def cmd_train(args) -> int:
     _check_outputs([args.model, args.out], files)
     raw = _load_split("train", files, args.classes)
     if args.train_subset is not None:
-        if args.train_subset < 1:
-            raise UsageError("--train-subset must be >= 1")
         raw = RawDataset(
             images=raw.images[: args.train_subset],
             labels=raw.labels[: args.train_subset],
@@ -296,12 +308,6 @@ def _angled_pair(dim: int, theta: float, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_hash_sim(args) -> int:
     _check_outputs([args.out])
-    if args.dim < 2:
-        raise UsageError("--dim must be >= 2")
-    if args.hashes < 100:
-        raise UsageError("--hashes must be >= 100")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     thetas = args.theta if args.theta else _DEFAULT_THETAS
     rows = []
     for ti, theta in enumerate(thetas):
@@ -327,7 +333,8 @@ def _add_dataset_flags(sub) -> None:
         "--dataset", choices=("mnist", "fmnist"), default="mnist",
         help="which dataset subdirectory to read",
     )
-    sub.add_argument("--classes", type=int, default=10, help="number of classes (default 10)")
+    sub.add_argument("--classes", type=_checked(int, _ints("classes", 1)), default=10,
+                     help="number of classes (default 10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,18 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a boosted model and save it")
     _add_dataset_flags(p_train)
-    p_train.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p_train.add_argument("--lambda", dest="lam", type=_checked(float, check_lam), default=1.0,
                          help="ridge regularizer (default 1)")
-    p_train.add_argument("--alpha", type=float, default=0.5, help="discount factor (default 0.5)")
-    p_train.add_argument("--t-steps", type=int, default=50, help="ridge fits per level (default 50)")
-    p_train.add_argument("--levels", type=int, default=8,
+    p_train.add_argument("--alpha", type=_checked(float, check_alpha), default=0.5,
+                         help="discount factor (default 0.5)")
+    p_train.add_argument("--t-steps", type=_checked(int, _ints("t_steps", 1)), default=50,
+                         help="ridge fits per level (default 50)")
+    p_train.add_argument("--levels", type=_checked(int, _ints("levels", 1)), default=8,
                          help="boosting levels (default 8; the curves saturate near 7)")
-    p_train.add_argument("--hidden", type=int, default=None,
+    p_train.add_argument("--hidden", type=_checked(int, _ints("hidden", 1)), default=None,
                          help="hidden width J (default: the input width M)")
     p_train.add_argument("--activation", choices=("tanh", "sign"), default="tanh")
     p_train.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
-    p_train.add_argument("--train-subset", type=int, default=None,
-                         help="use only the first N training rows")
+    p_train.add_argument("--train-subset", type=_checked(int, _ints("train_subset", 1)),
+                         default=None, help="use only the first N training rows")
     p_train.add_argument("--model", default="model.elmb", help="output model path")
     p_train.add_argument("--out", default="train_report.csv", help="residual-norm CSV path")
     p_train.set_defaults(func=cmd_train)
@@ -371,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.set_defaults(func=cmd_noise)
 
     p_hash = sub.add_parser("hash-sim", help="analytic vs empirical hash collision rates")
-    p_hash.add_argument("--dim", type=int, default=50, help="vector dimension (default 50)")
-    p_hash.add_argument("--hashes", type=int, default=10000,
+    p_hash.add_argument("--dim", type=_checked(int, _ints("dim", 2)), default=50,
+                        help="vector dimension (default 50)")
+    p_hash.add_argument("--hashes", type=_checked(int, _ints("hashes", 100)), default=10000,
                         help="number of hash hyperplanes (default 10000)")
-    p_hash.add_argument("--trials", type=int, default=1,
+    p_hash.add_argument("--trials", type=_checked(int, _ints("trials", 1)), default=1,
                         help="random pairs averaged per angle (default 1)")
-    p_hash.add_argument("--theta", type=_finite_float, nargs="+", default=None,
+    p_hash.add_argument("--theta", type=_checked(float, _finite), nargs="+", default=None,
                         help="angles in radians (default: 0, pi/6, pi/4, pi/2, 3pi/4, pi)")
     p_hash.add_argument("--seed", type=_seed, default=0, help="pair/hyperplane seed (default 0)")
     p_hash.add_argument("--out", default="hash_sim.csv", help="output CSV path")

@@ -19,6 +19,10 @@ File layout, all integers little-endian::
                   row-major, in (level, step) order
     end     8     CRC-64/XZ of every preceding byte (u64)
 
+The order of the fields from offset 12 to 56 is written once, in the _FIELDS
+table: save packs the header from it, and load unpacks the header and
+rebuilds the HyperParams from it.  Every field there but input_width and
+num_classes is a HyperParams field, and HEADER_SIZE is the struct's size.
 Total size is therefore 57 + 8*levels*t_steps*J*K + 8 bytes.  Projection
 matrices are regenerated from the seed at load time, so the weights are the
 only bulk payload, and saving the same model twice produces byte-identical
@@ -63,7 +67,9 @@ hyperparameters.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
+import math
 import operator
 import os
 import stat
@@ -76,8 +82,22 @@ from .projection import GENERATOR_SPLITMIX_BOX_MULLER, Activation
 
 MAGIC = b"ELMB"
 VERSION = 1
-HEADER_SIZE = 57
-_HEADER_FMT = "<4sIIQddIIIIIB"
+#: Every header field after the magic, version and generator id, in file order,
+#: with its struct code; the activation is stored as its _ACTIVATION_CODE.
+_FIELDS = {
+    "master_seed": "Q",
+    "lam": "d",
+    "alpha": "d",
+    "levels": "I",
+    "t_steps": "I",
+    "hidden": "I",
+    "input_width": "I",
+    "num_classes": "I",
+    "activation": "B",
+}
+_HEADER = struct.Struct("<4sII" + "".join(_FIELDS.values()))
+HEADER_SIZE = _HEADER.size
+_HYPER_NAMES = [field.name for field in dataclasses.fields(HyperParams)]
 # No O_TRUNC: see save.  O_BINARY exists only on Windows, where os.open defaults to text mode.
 _SAVE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
@@ -243,22 +263,10 @@ crc64 = _native_crc64 if _LZMA_CRC64 is not None else _lane_crc64
 
 
 def _pack_header(model: BoostedModel) -> bytes:
-    hyper = model.hyper
-    return struct.pack(
-        _HEADER_FMT,
-        MAGIC,
-        VERSION,
-        GENERATOR_SPLITMIX_BOX_MULLER,
-        hyper.master_seed,
-        hyper.lam,
-        hyper.alpha,
-        hyper.levels,
-        hyper.t_steps,
-        hyper.hidden,
-        model.input_width,
-        model.num_classes,
-        _ACTIVATION_CODE[hyper.activation],
-    )
+    fields = {**vars(model.hyper), "input_width": model.input_width, "num_classes": model.num_classes}
+    fields["activation"] = _ACTIVATION_CODE[model.hyper.activation]
+    values = (fields[name] for name in _FIELDS)
+    return _HEADER.pack(MAGIC, VERSION, GENERATOR_SPLITMIX_BOX_MULLER, *values)
 
 
 def _write_all(fd: int, data: memoryview) -> None:
@@ -305,30 +313,20 @@ def load(path) -> BoostedModel:
         # len(header) is short too if the file shrank after fstat
         if size < HEADER_SIZE + 8 or len(header) < HEADER_SIZE:
             raise TruncatedError(f"{path}: file shorter than header plus checksum")
-        (
-            _,
-            version,
-            generator_id,
-            master_seed,
-            lam,
-            alpha,
-            levels,
-            t_steps,
-            hidden,
-            input_width,
-            num_classes,
-            act_code,
-        ) = struct.unpack(_HEADER_FMT, header)
+        _, version, generator_id, *values = _HEADER.unpack(header)
+        fields = dict(zip(_FIELDS, values))
         if version != VERSION:
             raise UnsupportedVersionError(f"{path}: unsupported format version {version}")
         if generator_id != GENERATOR_SPLITMIX_BOX_MULLER:
             raise UnsupportedVersionError(f"{path}: unknown projection generator id {generator_id}")
-        if act_code not in _ACTIVATION_FROM_CODE:
-            raise ModelFormatError(f"{path}: unknown activation code {act_code}")
+        if fields["activation"] not in _ACTIVATION_FROM_CODE:
+            raise ModelFormatError(f"{path}: unknown activation code {fields['activation']}")
+        fields["activation"] = _ACTIVATION_FROM_CODE[fields["activation"]]
 
         # Checked against the file size before the grid is allocated, so a
         # header declaring a huge grid costs nothing.
-        count = levels * t_steps * hidden * num_classes
+        shape = (fields["levels"], fields["t_steps"], fields["hidden"], fields["num_classes"])
+        count = math.prod(shape)
         expected = HEADER_SIZE + 8 * count + 8
         if size < expected:
             raise TruncatedError(
@@ -340,8 +338,7 @@ def load(path) -> BoostedModel:
         # An empty grid can declare sizes whose product numpy refuses, and a
         # zero in a shape blocks the byte cast; those sizes fail validation
         # after the checksum.
-        shape = (levels, t_steps, hidden, num_classes) if count else 0
-        weights = np.empty(shape, dtype="<f8")
+        weights = np.empty(shape if count else 0, dtype="<f8")
         weights_bytes = memoryview(weights).cast("B")
         # Short only if the file shrank after fstat.
         read = f.readinto(weights_bytes)
@@ -361,20 +358,8 @@ def load(path) -> BoostedModel:
     # before the weights are checked.  On little-endian hosts the model keeps
     # the array read into as its grid.
     try:
-        model = BoostedModel(
-            hyper=HyperParams(
-                lam=lam,
-                alpha=alpha,
-                t_steps=t_steps,
-                levels=levels,
-                hidden=hidden,
-                activation=_ACTIVATION_FROM_CODE[act_code],
-                master_seed=master_seed,
-            ),
-            weights=weights,
-            num_classes=num_classes,
-            input_width=input_width,
-        )
+        hyper = HyperParams(**{name: fields.pop(name) for name in _HYPER_NAMES})
+        model = BoostedModel(hyper=hyper, weights=weights, **fields)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: invalid header: {exc}") from exc
 

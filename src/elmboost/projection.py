@@ -85,8 +85,13 @@ class ProjectionSpec:
 
 
 def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
-    """Seed of the (level, step) sub-stream; plain-int SplitMix64 step."""
-    z = ((spec.master_seed ^ (level * _LEVEL_STRIDE + step)) + _GOLDEN) & _MASK64
+    """Seed of the (level, step) sub-stream; plain-int SplitMix64 step.
+
+    The seed, level and step are taken as Python ints, so a numpy integer of
+    any width mixes as its value does instead of overflowing its own type.
+    """
+    index = int(level) * _LEVEL_STRIDE + int(step)
+    z = ((int(spec.master_seed) ^ index) + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

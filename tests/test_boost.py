@@ -44,7 +44,7 @@ class TestHyperParams:
         hyper = HyperParams()
         assert hyper.alpha == 0.5 and hyper.t_steps == 50
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.01])
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.01, float("nan")])
     def test_alpha_range(self, alpha):
         with pytest.raises(ValueError):
             HyperParams(alpha=alpha)

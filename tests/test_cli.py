@@ -114,7 +114,9 @@ class TestTrainCommand:
         # a negative subset would slice rows off the end and train on the rest
         for subset in ("0", "-1"):
             assert main(train_args(data_dir, tmp_path, **{"--train-subset": subset})) == 1
-            assert capsys.readouterr().err == "error: --train-subset must be >= 1\n"
+            assert capsys.readouterr().err == (
+                f"error: argument --train-subset: train_subset must be >= 1 and < 2**32, got {subset}\n"
+            )
             assert not (tmp_path / "model.elmb").exists()
 
     def test_singular_unregularized_solve_exits_3(self, data_dir, tmp_path, capsys):
@@ -143,6 +145,44 @@ class TestTrainCommand:
         assert main(train_args(data_dir, tmp_path, **{flag: str(2**32)})) == 1
         assert not (tmp_path / "model.elmb").exists()
         assert "2**32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--alpha", "0"), ("train", "--alpha", "1.5"), ("train", "--alpha", "nan"),
+            ("train", "--lambda", "-1"), ("train", "--train-subset", "0"),
+            *(("train", flag, value) for flag in ("--levels", "--t-steps", "--hidden", "--classes")
+              for value in ("0", str(2**32))),
+            ("curve", "--classes", "0"), ("noise", "--classes", str(2**32)),
+        ],
+    )
+    def test_bad_value_exits_1_naming_the_flag_before_any_file(
+        self, data_dir, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        touched = []
+        monkeypatch.setattr(cli, "find_idx_file", lambda *args: touched.append(args))
+        monkeypatch.setattr(model_store, "load", lambda *args: touched.append(args))
+        before = _files(tmp_path)
+        argv = {
+            "train": train_args(data_dir, tmp_path),
+            "curve": ["curve", "--dataset-dir", str(data_dir), "--model", str(tmp_path / "m"),
+                      "--out", str(tmp_path / "c.csv")],
+            "noise": ["noise", "--dataset-dir", str(data_dir), "--model", str(tmp_path / "m"),
+                      "--out", str(tmp_path / "n.csv")],
+        }[command]
+        assert main([*argv, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1, err
+        assert touched == []
+        assert _files(tmp_path) == before
+
+    def test_bad_value_exits_1_without_a_dataset(self, tmp_path, capsys):
+        # the value is refused as it is parsed, before the IDX files are looked up
+        code = main(train_args(tmp_path / "missing", tmp_path, **{"--alpha": "1.5"}))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --alpha: alpha must lie in (0, 1], got 1.5\n"
+        )
 
     def test_weight_grid_the_machine_cannot_hold_exits_1_without_traceback(
         self, data_dir, tmp_path, capsys
@@ -505,18 +545,33 @@ class TestHashSimCommand:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
-    def test_flag_validation(self, tmp_path):
-        assert main(["hash-sim", "--dim", "1", "--out", str(tmp_path / "h.csv")]) == 1
-        assert main(["hash-sim", "--hashes", "50", "--out", str(tmp_path / "h.csv")]) == 1
-        assert main(["hash-sim", "--trials", "0", "--out", str(tmp_path / "h.csv")]) == 1
+    def test_flag_validation(self, tmp_path, capsys):
+        # --dim is a projection's input width m, --hashes its hidden width j
+        for flag, value, rule in [
+            ("--dim", "1", "dim must be >= 2 and < 2**32, got 1"),
+            ("--hashes", "50", "hashes must be >= 100 and < 2**32, got 50"),
+            ("--hashes", str(2**32), f"hashes must be >= 100 and < 2**32, got {2**32}"),
+            ("--trials", "0", "trials must be >= 1 and < 2**32, got 0"),
+        ]:
+            assert main(["hash-sim", flag, value, "--out", str(tmp_path / "h.csv")]) == 1
+            assert capsys.readouterr().err == f"error: argument {flag}: {rule}\n"
 
     @pytest.mark.parametrize(
-        "flags", [["--seed", "-1"], ["--theta", "nan"], ["--theta", "0.5", "inf"]]
+        "flags",
+        [
+            ["--seed", "-1"], ["--theta", "nan"], ["--theta", "0.5", "inf"],
+            ["--theta", "inf"], ["--dim", "1"], ["--dim", str(2**32)], ["--trials", "0"],
+            ["--hashes", "99"], ["--hashes", "4294967296"],
+        ],
     )
-    def test_bad_values_exit_1_without_output(self, tmp_path, capsys, flags):
+    def test_bad_values_exit_1_without_output(self, tmp_path, capsys, monkeypatch, flags):
+        simulated = []
+        monkeypatch.setattr(cli, "estimate_collision_rate", lambda *args: simulated.append(args))
         out = tmp_path / "h.csv"
         assert main(["hash-sim", *flags, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flags[0]}: ") and err.count("\n") == 1, err
+        assert simulated == []
         assert not out.exists()
 
 

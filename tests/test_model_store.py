@@ -168,6 +168,26 @@ class TestRoundTrip:
         assert path.stat().st_size == HEADER_SIZE + 8 * l * t * j * k + 8
         assert HEADER_SIZE == 57
 
+    @pytest.mark.parametrize("activation, code", [(Activation.TANH, 0), (Activation.SIGN, 1)])
+    def test_every_header_field_at_its_documented_offset(self, tmp_path, activation, code):
+        # Distinct values in every field: a swapped pair of fields would still
+        # round-trip through save and load, but not read back here.
+        hyper = HyperParams(lam=0.25, alpha=0.75, t_steps=3, levels=2, hidden=5,
+                            activation=activation, master_seed=0x0123456789ABCDEF)
+        weights = np.arange(2 * 3 * 5 * 11, dtype=np.float64).reshape(2, 3, 5, 11)
+        path = tmp_path / "m.elmb"
+        save(BoostedModel(hyper=hyper, weights=weights, num_classes=11, input_width=7), path)
+        blob = path.read_bytes()
+        documented = [
+            (0, "4s", b"ELMB"), (4, "I", 1), (8, "I", 0),
+            (12, "Q", 0x0123456789ABCDEF), (20, "d", 0.25), (28, "d", 0.75),
+            (36, "I", 2), (40, "I", 3), (44, "I", 5), (48, "I", 7), (52, "I", 11),
+            (56, "B", code),
+        ]
+        for offset, fmt, value in documented:
+            assert struct.unpack_from("<" + fmt, blob, offset) == (value,), offset
+        assert blob[HEADER_SIZE:-8] == weights.astype("<f8").tobytes()
+
 
 class TestFormatErrors:
     def test_corrupted_payload_byte(self, small_model, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for seeded projections, activations, and the sign-hashing toolkit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ class TestGenerateProjection:
                       {"j": 2.5}, {"m": 4.0}, {"j": 2**32}, {"m": 0}):
             with pytest.raises(ValueError, match=next(iter(field))):
                 ProjectionSpec(**{"master_seed": 0, "j": 4, "m": 4, **field})
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint8, np.uint64])
+    def test_numpy_integers_give_the_python_int_matrix(self, dtype):
+        # numpy integers of any width, with overflow warnings as errors: the
+        # sub-stream seed is mixed from their values, not in their own type
+        limit = np.iinfo(dtype).max
+        values = [v for v in (0, 1, 2**31, 2**32 - 1) if v <= limit]
+        seeds = [v for v in (0, 7, 2**31, 2**32 - 1, 2**63 - 1, 2**64 - 1) if v <= limit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in seeds:
+                spec = ProjectionSpec(master_seed=dtype(seed), j=3, m=4)
+                plain = ProjectionSpec(master_seed=seed, j=3, m=4)
+                for level in values:
+                    for step in values:
+                        expected = generate_projection(plain, level, step)
+                        got = generate_projection(spec, dtype(level), dtype(step))
+                        assert got.tobytes() == expected.tobytes(), (seed, level, step)
 
 
 class TestEncode:
