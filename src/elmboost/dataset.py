@@ -189,16 +189,17 @@ def normalize(raw: RawDataset) -> Dataset:
     """Normalize raw intensities row by row: square root, center, unit-scale.
 
     The three steps run in exactly this order.  All-constant images (which
-    center to the zero vector) skip the final division and come out as zero
-    rows; their count is reported through a single RuntimeWarning.
+    center to the zero vector) are divided by one in place of their zero norm
+    and come out as zero rows; their count is reported through a single
+    RuntimeWarning.
     """
     flat = raw.images.max(axis=1) == raw.images.min(axis=1)
-    x = raw.images.astype(np.float64)
-    np.sqrt(x, out=x)
+    x = np.sqrt(raw.images, dtype=np.float64)
     x -= x.mean(axis=1, keepdims=True)
     x[flat] = 0.0
     norms = _row_norms(x)
-    np.divide(x, norms[:, None], out=x, where=norms[:, None] != 0.0)
+    norms[norms == 0.0] = 1.0  # zero rows divide by one and stay zero
+    x /= norms[:, None]
     n_flat = int(flat.sum())
     if n_flat:
         warnings.warn(

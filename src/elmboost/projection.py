@@ -20,8 +20,11 @@ pinned precisely (generator id 0) so regeneration is bit-exact across runs:
   Deviates fill each J×M matrix row-major; the surplus deviate of the final
   pair, if any, is discarded.
 
-The generator computes the stream in cache-sized blocks of pairs, each from
-its own start counter.  Every step is elementwise, so the blocks join into
+One function, ``_finalize``, applies the SplitMix64 output function; it
+mixes both the sub-stream seed and the uniforms.  The generator computes the
+stream in cache-sized blocks of pairs, each from its own start counter, and
+writes each block's cosine and sine deviates into the two columns of a
+(pairs, 2) output.  Every step is elementwise, so the blocks join into
 exactly the stream above, whatever the block size.
 
 Changing any of this invalidates every persisted model, hence the generator
@@ -38,8 +41,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 #: Stride separating levels in the sub-stream index space.  Level and step
 #: both lie below it, so each (level, step) pair has its own 64-bit index.
@@ -84,68 +85,58 @@ class ProjectionSpec:
         check_ints(0, 64, master_seed=self.master_seed)
 
 
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function, applied in place to the uint64 array z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
-    """Seed of the (level, step) sub-stream; plain-int SplitMix64 step.
+    """Seed of the (level, step) sub-stream: one SplitMix64 output.
 
     The seed, level and step are taken as Python ints, so a numpy integer of
     any width mixes as its value does instead of overflowing its own type.
     """
     index = int(level) * _LEVEL_STRIDE + int(step)
-    z = ((int(spec.master_seed) ^ index) + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    state = ((int(spec.master_seed) ^ index) + _GOLDEN) & _MASK64
+    return int(_finalize(np.array([state], dtype=np.uint64))[0])
 
 
-#: Box-Muller pairs generated per block: the block's working arrays (about
-#: 1 MB) stay in cache while every pass of the transform runs over them.
+#: Box-Muller pairs generated per block: the block's arrays (about 1 MB)
+#: stay in cache while every pass of the transform runs over them.
 _BLOCK_PAIRS = 1 << 14
 
 
 def _normals(seed: int, count: int) -> np.ndarray:
     """Box-Muller standard normals drawn from the seeded uniform stream.
 
-    Fills the output block by block.  Every operation is elementwise and
-    every transcendental function reads a contiguous array, as a whole-stream
-    evaluation would, so the result does not depend on the block size.
+    Fills a (pairs, 2) output block by block, each block from its own start
+    counter.  Every operation is elementwise and every transcendental
+    function reads a contiguous array, as a whole-stream evaluation would,
+    so the result does not depend on the block size.
     """
     pairs = (count + 1) // 2
-    z = np.empty(2 * pairs)
+    z = np.empty((pairs, 2))
     block = min(pairs, _BLOCK_PAIRS)
     # Counter c gives the SplitMix64 state seed + c * GOLDEN (mod 2**64), so
     # a block starting at counter c0 is its start state plus this stride.
     stride = np.arange(2 * block, dtype=np.uint64) * np.uint64(_GOLDEN)
-    u = np.empty(2 * block, dtype=np.uint64)
-    shifted = np.empty_like(u)
-    u53 = np.empty(2 * block)
-    radius = np.empty(block)
-    angle = np.empty(block)
-    trig = np.empty(block)
     for first in range(0, pairs, block):
-        n = min(block, pairs - first)
-        b_u, b_shifted, b_u53 = u[: 2 * n], shifted[: 2 * n], u53[: 2 * n]
-        b_radius, b_angle, b_trig = radius[:n], angle[:n], trig[:n]
-        np.add(stride[: 2 * n], np.uint64((seed + (2 * first + 1) * _GOLDEN) & _MASK64), out=b_u)
-        # SplitMix64 finalizer, in place.
-        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
-            np.right_shift(b_u, np.uint64(shift), out=b_shifted)
-            b_u ^= b_shifted
-            if mult is not None:
-                b_u *= np.uint64(mult)
-        b_u >>= np.uint64(11)
-        np.multiply(b_u, 2.0**-53, out=b_u53)
+        last = min(first + block, pairs)
+        start = np.uint64((seed + (2 * first + 1) * _GOLDEN) & _MASK64)
+        u53 = (_finalize(stride[: 2 * (last - first)] + start) >> np.uint64(11)) * 2.0**-53
         # r = sqrt(-2 ln(1 - u53)) over even positions, angle 2*pi*v53 over odd.
-        np.negative(b_u53[0::2], out=b_radius)
-        np.log1p(b_radius, out=b_radius)
-        b_radius *= -2.0
-        np.sqrt(b_radius, out=b_radius)
-        np.multiply(b_u53[1::2], 2.0 * np.pi, out=b_angle)
-        out = z[2 * first : 2 * (first + n)]
-        np.cos(b_angle, out=b_trig)
-        np.multiply(b_radius, b_trig, out=out[0::2])
-        np.sin(b_angle, out=b_trig)
-        np.multiply(b_radius, b_trig, out=out[1::2])
-    return z[:count]
+        radius = np.log1p(-u53[0::2])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u53[1::2] * (2.0 * np.pi)
+        np.multiply(radius, np.cos(angle), out=z[first:last, 0])
+        np.multiply(radius, np.sin(angle), out=z[first:last, 1])
+    return z.reshape(-1)[:count]
 
 
 def generate_projection(spec: ProjectionSpec, level: int, step: int) -> np.ndarray:
@@ -156,10 +147,12 @@ def generate_projection(spec: ProjectionSpec, level: int, step: int) -> np.ndarr
     model omit the projections entirely.  level and step must be integers
     in [0, 2**32), the level stride (ValueError otherwise), so distinct
     (level, step) pairs draw from statistically independent sub-streams.
+    The widths are taken as Python ints, so numpy integer widths whose
+    product overflows their own type give the same matrix.
     """
     check_ints(0, 32, level=level, step=step)
-    seed = _stream_seed(spec, level, step)
-    return _normals(seed, spec.j * spec.m).reshape(spec.j, spec.m)
+    j, m = int(spec.j), int(spec.m)
+    return _normals(_stream_seed(spec, level, step), j * m).reshape(j, m)
 
 
 def _sign(z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -168,6 +169,20 @@ class TestTrain:
         model_a, _ = train(data, y, hyper)
         model_b, _ = train(data, y, hyper)
         assert np.array_equal(model_a.weights, model_b.weights)
+
+    def test_numpy_integer_width_gives_the_python_int_model(self):
+        # 256 x 256 = 65 536 deviates per projection overflows int16
+        rng = np.random.default_rng(8)
+        data = make_dataset(rng, 40, 256, 3)
+        y = one_hot_encode(data.labels, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = []
+            for hidden in (np.int16(256), 256):
+                model, norms = train(data, y, HyperParams(levels=1, t_steps=1, hidden=hidden))
+                runs.append((model.weights, norms, predict_scores(model, data.x)))
+        for got, expected in zip(*runs):
+            assert got.tobytes() == expected.tobytes()
 
     def test_target_shape_mismatch(self):
         rng = np.random.default_rng(6)

@@ -70,10 +70,11 @@ class TestGenerateProjection:
             with pytest.raises(ValueError, match=next(iter(field))):
                 ProjectionSpec(**{"master_seed": 0, "j": 4, "m": 4, **field})
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint8, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16, np.uint8, np.uint64])
     def test_numpy_integers_give_the_python_int_matrix(self, dtype):
         # numpy integers of any width, with overflow warnings as errors: the
-        # sub-stream seed is mixed from their values, not in their own type
+        # sub-stream seed is mixed from their values, not in their own type,
+        # and so is the deviate count of widths whose product overflows it
         limit = np.iinfo(dtype).max
         values = [v for v in (0, 1, 2**31, 2**32 - 1) if v <= limit]
         seeds = [v for v in (0, 7, 2**31, 2**32 - 1, 2**63 - 1, 2**64 - 1) if v <= limit]
@@ -87,6 +88,11 @@ class TestGenerateProjection:
                         expected = generate_projection(plain, level, step)
                         got = generate_projection(spec, dtype(level), dtype(step))
                         assert got.tobytes() == expected.tobytes(), (seed, level, step)
+            for width in (w for w in (255, 256) if w <= limit):
+                spec = ProjectionSpec(master_seed=dtype(7), j=dtype(width), m=dtype(width))
+                expected = generate_projection(ProjectionSpec(master_seed=7, j=width, m=width), 1, 2)
+                got = generate_projection(spec, dtype(1), dtype(2))
+                assert got.tobytes() == expected.tobytes(), width
 
 
 class TestEncode:

@@ -24,7 +24,13 @@ from elmboost.model_store import (
 )
 from elmboost.projection import Activation, ProjectionSpec, activate, generate_projection
 
-from helpers import crc64_reference, model_file_reference, needs_lzma_crc64, projection_reference
+from helpers import (
+    crc64_reference,
+    model_file_reference,
+    needs_lzma_crc64,
+    normals_reference,
+    projection_reference,
+)
 
 LANE_BLOCK = 8 * model_store._LANES  # bytes in one word per lane
 
@@ -128,6 +134,15 @@ class TestProjectionMatchesOracle:
     @pytest.mark.parametrize("seed, level, step", [(0, 0, 0), (42, 7, 49), (2**63 + 5, 1, 2)])
     def test_mnist_shape(self, seed, level, step):
         _assert_matches_oracle(seed, 784, 784, level, step)
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("count", [1, 2, 7, 2 * 4096 + 1])
+    def test_any_block_size_gives_the_stream(self, monkeypatch, block, count):
+        monkeypatch.setattr(projection, "_BLOCK_PAIRS", block)
+        for seed in (0, 2**63 + 5, 2**64 - 1):
+            got = projection._normals(seed, count)
+            expected = normals_reference(seed, count)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), seed
 
 
 # ±0, the smallest subnormals, a subnormal and the smallest normal, ±max, ±inf.
