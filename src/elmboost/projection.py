@@ -106,8 +106,8 @@ def _stream_seed(spec: ProjectionSpec, level: int, step: int) -> int:
     return int(_finalize(np.array([state], dtype=np.uint64))[0])
 
 
-#: Box-Muller pairs generated per block: the block's arrays (about 1 MB)
-#: stay in cache while every pass of the transform runs over them.
+#: Box-Muller pairs generated per block: the block's working arrays (about
+#: 1 MB) stay in cache while every pass of the transform runs over them.
 _BLOCK_PAIRS = 1 << 14
 
 
