@@ -190,34 +190,27 @@ def train(
     return model, residual_norms
 
 
-def _encodings(
-    x: np.ndarray, r: np.ndarray, activations: set[Activation]
-) -> dict[Activation, np.ndarray]:
-    """Hidden encoding of x under each activation, all from one X·Rᵀ."""
-    if Activation.TANH not in activations:
-        return {Activation.SIGN: encode(x, r, Activation.SIGN)}
-    hidden = {Activation.TANH: encode(x, r, Activation.TANH)}
-    if Activation.SIGN in activations:
-        # tanh keeps the sign of every z, -0.0 and subnormals included, so
-        # sign(tanh(z)) == sign(z) bitwise.
-        hidden[Activation.SIGN] = activate(hidden[Activation.TANH], Activation.SIGN)
-    return hidden
-
-
 def _slot_terms(spec: ProjectionSpec, by_input, slot: tuple[int, int]):
     """[(job, model, hidden·W)] of one seed group's (level, step) slot, in job order.
 
     Generates the slot's projection once and encodes each distinct input
-    once; jobs scoring the same input share its encoding.
+    once, into one N×J buffer its jobs share: the tanh jobs' terms are taken
+    first, then the buffer is turned into its sign in place for the sign
+    jobs.  tanh keeps the sign of every z, -0.0 and subnormals included, so
+    sign(tanh(z)) == sign(z) bitwise.
     """
     lv, t = slot
     r = generate_projection(spec, lv, t)
     terms = []
     for x, sharing in by_input:
-        hidden = _encodings(x, r, {model.hyper.activation for _, model in sharing})
-        for i, model in sharing:
-            terms.append((i, model, hidden[model.hyper.activation] @ model.weights[lv, t]))
-        del hidden  # one input's encodings alive at a time
+        hidden = None
+        for act in (Activation.TANH, Activation.SIGN):
+            jobs = [(i, model) for i, model in sharing if model.hyper.activation is act]
+            if jobs:
+                hidden = encode(x, r, act) if hidden is None else activate(hidden, act)
+            for i, model in jobs:
+                terms.append((i, model, hidden @ model.weights[lv, t]))
+        del hidden  # one input's encoding alive at a time
     return sorted(terms, key=operator.itemgetter(0))
 
 

@@ -214,6 +214,7 @@ def cmd_train(args) -> int:
             num_classes=raw.num_classes,
         )
     data = normalize(raw)
+    del raw  # the raw images are not read again; free them before training
     targets = one_hot_encode(data.labels, data.num_classes)
     hidden = args.hidden if args.hidden is not None else data.x.shape[1]
     hyper = HyperParams(

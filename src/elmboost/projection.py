@@ -157,15 +157,17 @@ def generate_projection(spec: ProjectionSpec, level: int, step: int) -> np.ndarr
 
 def _sign(z: np.ndarray) -> np.ndarray:
     # Fixed convention: sign(0) = +1, so the codomain is exactly {-1, +1}.
-    # 2*mask - 1 in place gives the bits np.where(z >= 0, 1.0, -1.0) gives, faster.
-    out = (z >= 0.0).astype(np.float64)
-    out *= 2.0
-    out -= 1.0
-    return out
+    # 2*mask - 1 written over z gives the bits np.where(z >= 0, 1.0, -1.0)
+    # gives (NaN to -1), with no second array: the ufunc casts the mask to
+    # float64 through its small buffer.
+    np.greater_equal(z, 0.0, out=z, casting="unsafe")
+    z *= 2.0
+    z -= 1.0
+    return z
 
 
 def activate(z: np.ndarray, act: Activation) -> np.ndarray:
-    """The activation applied elementwise to z; tanh overwrites z in place."""
+    """The activation applied elementwise to the float64 array z, overwriting z; returns z."""
     if act is Activation.TANH:
         return np.tanh(z, out=z)
     if act is Activation.SIGN:
@@ -174,7 +176,11 @@ def activate(z: np.ndarray, act: Activation) -> np.ndarray:
 
 
 def encode(x: np.ndarray, r: np.ndarray, act: Activation) -> np.ndarray:
-    """Hidden-layer encoding: the activation applied elementwise to X·Rᵀ."""
+    """Hidden-layer encoding: the activation applied elementwise to X·Rᵀ.
+
+    Either activation is applied in place, so the N×J product is the only
+    array of that size the call allocates.
+    """
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if x.ndim != 2 or r.ndim != 2 or x.shape[1] != r.shape[1]:

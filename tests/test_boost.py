@@ -511,6 +511,41 @@ class TestOnePassScoring:
         assert calls == {"generate": 4, "encode": 4}  # one of each per (level, step)
         assert_matches_reference(jobs, items)
 
+    def test_two_tanh_jobs_and_a_sign_job_share_one_buffer(self, calls):
+        # tanh is applied once to the shared buffer, then sign once over it
+        rng = np.random.default_rng(30)
+        models = [
+            _random_model(rng, Activation.TANH),
+            _random_model(rng, Activation.SIGN),
+            _random_model(rng, Activation.TANH),
+        ]
+        x = normalized_rows(rng, 30, 16)
+        jobs = [(m, x) for m in models]
+        items = list(iter_level_scores(jobs))
+        assert calls == {"generate": 4, "encode": 4}
+        assert_matches_reference(jobs, items)
+
+    def test_tanh_sign_pair_holds_one_encoding(self):
+        # the sign jobs reuse the tanh buffer in place, so one N x J array
+        # is alive per input; two of them would show
+        rng = np.random.default_rng(31)
+        n, m, j = 4096, 8, 64
+        models = [
+            _random_model(rng, act, hidden=j, m=m) for act in (Activation.TANH, Activation.SIGN)
+        ]
+        x = normalized_rows(rng, n, m)
+        _, groups = boost._plan([(model, x) for model in models], None)
+        ((spec, _, _, by_input),) = groups
+        encoding, projection = 8 * n * j, 8 * j * m
+        tracemalloc.start()
+        try:
+            terms = boost._slot_terms(spec, by_input, (1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [i for i, _, _ in terms] == [0, 1]
+        assert peak < 1.5 * encoding + projection, peak / encoding
+
     def test_different_seeds_walk_two_groups(self, calls):
         rng = np.random.default_rng(21)
         models = [

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elmboost import dataset
 from elmboost.dataset import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -231,6 +232,15 @@ class TestNormalize:
         with pytest.warns(RuntimeWarning, match="all-constant"):
             x = normalize(raw).x
         assert np.array_equal(x.view(np.uint64), normalize_reference(images).view(np.uint64))
+
+    @pytest.mark.parametrize("block", [1, 7, 256, 1024])
+    def test_row_norms_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        monkeypatch.setattr(dataset, "_NORM_BLOCK_ROWS", block)
+        rng = np.random.default_rng(block)
+        for n in (255, 256, 257, 1000):
+            x = rng.standard_normal((n, 784))
+            want = np.linalg.norm(x, axis=1)
+            assert np.array_equal(dataset._row_norms(x).view(np.uint64), want.view(np.uint64)), n
 
     def test_peak_memory_below_one_and_a_half_outputs(self):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ import errno
 import os
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -251,6 +252,23 @@ class TestFormatErrors:
         save(model, path)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(TruncatedError):
+            load(path)
+
+    def test_file_shrank_after_fstat(self, small_model, tmp_path, monkeypatch):
+        # fstat reports the whole file, but it was cut mid-payload before the
+        # read: the short read itself must end in TruncatedError
+        model, _ = small_model
+        path = tmp_path / "m.elmb"
+        save(model, path)
+        declared = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: HEADER_SIZE + 13])
+        real_fstat = os.fstat
+
+        def whole_file(fd):
+            return types.SimpleNamespace(st_mode=real_fstat(fd).st_mode, st_size=declared)
+
+        monkeypatch.setattr(model_store.os, "fstat", whole_file)
+        with pytest.raises(TruncatedError, match="ended before"):
             load(path)
 
     def test_header_only_file(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for seeded projections, activations, and the sign-hashing toolkit."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,21 @@ class TestEncode:
         r = generate_projection(ProjectionSpec(master_seed=2, j=16, m=30), 0, 0)
         h = encode(x, r, Activation.TANH)
         assert np.abs(h).max() < 1.0
+
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_one_encoding_sized_array_allocated(self, act):
+        # both activations overwrite X·Rᵀ, so the output is the only N×J array
+        rng = np.random.default_rng(3)
+        x, r = rng.standard_normal((4096, 8)), rng.standard_normal((64, 8))
+        encoding = 8 * 4096 * 64
+        tracemalloc.start()
+        try:
+            h = encode(x, r, act)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.nbytes == encoding
+        assert peak < 1.5 * encoding + r.nbytes, peak / encoding
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="encode width mismatch"):

@@ -179,13 +179,16 @@ class TestSignActivation:
     def test_matches_the_where_form_bitwise(self, z):
         expected = _sign_by_where(z)
         got = activate(z, Activation.SIGN)
+        assert got is z  # written over its argument, no second array
         assert got.dtype == np.float64 and got.shape == z.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_tanh_encoding_matches_the_where_form_bitwise(self):
         z = np.tanh(np.random.default_rng(4).standard_normal((1000, 784)))
+        expected = _sign_by_where(z)  # taken first: the activation overwrites z
         got = activate(z, Activation.SIGN)
-        assert np.array_equal(got.view(np.uint64), _sign_by_where(z).view(np.uint64))
+        assert got is z
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 hyper_params = st.builds(
