@@ -11,15 +11,14 @@ Cholesky factor, which do not depend on the targets) and ``factor_solve``
 the Gram matrix in place: ``gram`` is exactly symmetric, so its transpose,
 an F-ordered view of the same memory, is the same matrix in LAPACK's layout.
 
-LAPACK is the library scipy's ``_flapack`` extension links, called through
-ctypes: the extension's file is opened as a plain shared library, which does
-not run it as a Python module, and ``dlsym`` on that handle also searches
-the libraries it links.  Importing ``scipy.linalg`` instead would load about
-310 modules and 25-29 MB of resident memory for two functions.  The symbols
-are looked up once, when LAPACK is first needed (``scipy_dpotrf_``, then
-``dpotrf_``); where they cannot be reached, ``scipy.linalg.lapack`` is
-imported instead.  Either way it is the same library function, so the bits
-are the same.  Processes that only score or load models never open it.
+LAPACK is scipy's ``_flapack`` extension, whose f2py wrappers check their
+arguments themselves.  It is loaded from its own file, which adds one
+module; importing ``scipy.linalg`` would add 334 (scipy 1.17) and 25-29 MB
+of resident memory for two functions.  Where no file is found (an editable
+install has its own finder), ``scipy.linalg._flapack`` is imported the usual
+way: the same module and calls, only costlier.  It is loaded once, when
+LAPACK is first needed, so processes that only score or load models never
+load it.  The wrappers hold the GIL while LAPACK runs.
 
 OpenBLAS gives other bits on another thread count.  Each ``dpotrf`` and
 ``dpotrs`` call holds the BLAS under LAPACK at one thread, so every solver
@@ -38,7 +37,6 @@ import logging
 import math
 import os
 import threading
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,30 +56,18 @@ class NotPositiveDefiniteError(ValueError):
 
 def _library(path):
     """The shared library at path, opened without running it as a Python module, or None."""
-    if not path:
-        return None  # CDLL(None) would open the interpreter itself
     try:
         return ctypes.CDLL(path)
     except OSError:
         return None
 
 
-def _symbol(lib, *names):
-    """The first of names that lib or a library it links exports, or None."""
-    for name in names:
-        try:
-            return getattr(lib, name)
-        except AttributeError:
-            pass
-    return None
-
-
 def _thread_calls(lib):
     """(get, set) of the thread count of the OpenBLAS that lib is or links, or None."""
     for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            get = _symbol(lib, f"{prefix}openblas_get_num_threads{suffix}")
-            put = _symbol(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
@@ -141,76 +127,27 @@ _LAPACK = None
 _lapack_lock = threading.Lock()
 
 
-class _Lapack(NamedTuple):
-    """The two LAPACK calls ridge solving needs, and the BLAS copy under them."""
-
-    via: str  # "ctypes" or "scipy.linalg.lapack"
-    potrf: Callable[[np.ndarray], int]  # factor F-ordered c in place (lower); info
-    potrs: Callable[[np.ndarray, np.ndarray], tuple]  # (Z of a·Z = b, info)
-    threads: _ThreadCount
-
-
-def _flapack_path():
-    """File of scipy's _flapack extension, found without importing scipy.linalg."""
-    try:
-        scipy_spec = importlib.util.find_spec("scipy")
-        dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
-        spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
-    except (ImportError, AttributeError, TypeError, ValueError):
-        return None
-    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
-        return None
-    return spec.origin
-
-
-def _scipy_lapack(lib) -> _Lapack:
-    """dpotrf and dpotrs through scipy.linalg.lapack, which imports scipy.linalg."""
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    def potrf(c):
-        return dpotrf(c, lower=1, clean=0, overwrite_a=1)[1]
-
-    def potrs(c, b):
-        return dpotrs(c, b, lower=1)
-
-    return _Lapack("scipy.linalg.lapack", potrf, potrs, _ThreadCount("scipy's LAPACK", lib))
-
-
-def _lapack() -> _Lapack:
-    """The LAPACK binding, looked up by the first call and kept for the process."""
+def _lapack():
+    """(scipy's _flapack module, the thread count of the BLAS under it), loaded by the first call."""
     global _LAPACK
     if _LAPACK is None:
-        with _lapack_lock:  # one binding, so one thread count per BLAS copy
+        with _lapack_lock:  # one module, so one thread count per BLAS copy
             if _LAPACK is None:
-                _LAPACK = _load_lapack()
+                flapack = _load_flapack()
+                _LAPACK = flapack, _ThreadCount("scipy's LAPACK", _library(flapack.__file__))
     return _LAPACK
 
 
-def _load_lapack() -> _Lapack:
-    """LAPACK through ctypes on scipy's _flapack file, else through scipy.linalg.lapack."""
-    lib = _library(_flapack_path())
-    dpotrf = _symbol(lib, "scipy_dpotrf_", "dpotrf_")
-    dpotrs = _symbol(lib, "scipy_dpotrs_", "dpotrs_")
-    if dpotrf is None or dpotrs is None:
-        return _scipy_lapack(lib)
-    # Fortran ABI: every argument by reference, then the hidden length of UPLO.
-    ref, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    dpotrf.argtypes = [ctypes.c_char_p, ref, ptr, ref, ref, ctypes.c_size_t]
-    dpotrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref, ctypes.c_size_t]
-    dpotrf.restype = dpotrs.restype = None
-
-    def potrf(c):
-        n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
-        dpotrf(b"L", n, c.ctypes.data, ld, info, 1)
-        return info.value
-
-    def potrs(c, b):
-        z = np.array(b, dtype=np.float64, order="F")
-        n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
-        dpotrs(b"L", n, ctypes.c_int(z.shape[1]), c.ctypes.data, ld, z.ctypes.data, ld, info, 1)
-        return z, info.value
-
-    return _Lapack("ctypes", potrf, potrs, _ThreadCount("scipy's LAPACK", lib))
+def _load_flapack():
+    """scipy's _flapack extension module, loaded from its file without importing scipy.linalg."""
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        return importlib.import_module("scipy.linalg._flapack")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack
 
 
 def one_blas_thread() -> _ThreadCount:
@@ -231,19 +168,23 @@ def gram(h: np.ndarray) -> np.ndarray:
     return h.T @ h
 
 
-def _factor(c: np.ndarray) -> None:
-    """Overwrite the lower triangle of the F-ordered square c with its Cholesky factor."""
-    # dpotrf reads and writes n x n elements with n = c.shape[0]: a non-square
-    # c would send it past the end of the buffer.
+def _factor(c: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of the square c in the lower triangle of the array returned.
+
+    That array is c itself when c is F-ordered float64; otherwise c is copied.
+    """
+    # dpotrf's wrapper refuses a non-square c itself, with its own error type
+    # (not a ValueError); this check keeps the ValueError contract.
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"Cholesky factorization needs a square matrix, got {c.shape}")
-    lapack = _lapack()
-    with lapack.threads:
-        info = lapack.potrf(c)
+    flapack, threads = _lapack()
+    with threads:
+        c, info = flapack.dpotrf(c, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
         raise RuntimeError(f"invalid argument {-info} passed to dpotrf")
+    return c
 
 
 def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,9 +195,9 @@ def factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim != 2 or c.shape[0] != b.shape[0]:
         raise ValueError(f"factor_solve shape mismatch: {c.shape} vs {b.shape}")
-    lapack = _lapack()
-    with lapack.threads:
-        z, info = lapack.potrs(np.asfortranarray(c, dtype=np.float64), b)
+    flapack, threads = _lapack()
+    with threads:
+        z, info = flapack.dpotrs(c, b, lower=1)
     if info != 0:
         raise RuntimeError(f"dpotrs failed with status {info}")
     return z
@@ -273,9 +214,7 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         NotPositiveDefiniteError: a non-positive pivot was hit during the
             factorization; carries the zero-based pivot index.
     """
-    c = np.array(a, dtype=np.float64, order="F")
-    _factor(c)
-    return factor_solve(c, b)
+    return factor_solve(_factor(np.array(a, dtype=np.float64, order="F")), b)
 
 
 def check_lam(lam: float) -> None:
@@ -296,9 +235,7 @@ def ridge_factor(h: np.ndarray, lam: float) -> np.ndarray:
     g = gram(np.asarray(h, dtype=np.float64))
     if lam:
         g[np.diag_indices_from(g)] += lam
-    c = g.T  # F-ordered: g is C-ordered and symmetric
-    _factor(c)
-    return c
+    return _factor(g.T)  # F-ordered: g is C-ordered and symmetric
 
 
 def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -308,6 +245,4 @@ def ridge_solve(h: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     λ = 0 this degenerates to ordinary least squares and requires HᵀH to
     be nonsingular.  λ is checked as ridge_factor checks it.
     """
-    if h.ndim != 2 or y.ndim != 2 or h.shape[0] != y.shape[0]:
-        raise ValueError(f"ridge_solve shape mismatch: h is {h.shape}, y is {y.shape}")
     return factor_solve(ridge_factor(h, lam), h.T @ y)

@@ -158,20 +158,6 @@ needs_lzma_crc64 = pytest.mark.skipif(
 )
 
 
-def _exports(path, *names) -> bool:
-    return path is not None and all(hasattr(ctypes.CDLL(path), name) for name in names)
-
-
-# Marks tests of the ctypes LAPACK binding: looked up here independently of
-# elmboost.linalg, on the same extension file.
-needs_ctypes_lapack = pytest.mark.skipif(
-    not (
-        _exports(linalg._flapack_path(), "scipy_dpotrf_", "scipy_dpotrs_")
-        or _exports(linalg._flapack_path(), "dpotrf_", "dpotrs_")
-    ),
-    reason="scipy's _flapack exports no dpotrf / dpotrs symbol here",
-)
-
 NUMPY_BLAS = np.linalg._umath_linalg.__file__
 _THREAD_NAMES = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
                  "openblas_%s_num_threads64_", "openblas_%s_num_threads")

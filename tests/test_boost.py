@@ -1,6 +1,7 @@
 """Tests for boosted training, prediction, and classification."""
 
 import hashlib
+import importlib
 import itertools
 import os
 import subprocess
@@ -287,17 +288,17 @@ class TestOverlappedTrain:
             train(zeros, one_hot_encode(zeros.labels, 2), HyperParams(lam=0.0, t_steps=3, levels=1, hidden=5))
         assert threading.active_count() == before
 
-    def test_scipy_lapack_path_trains_the_same_bits(self, monkeypatch):
+    def test_usual_flapack_import_trains_the_same_bits(self, monkeypatch):
         rng = np.random.default_rng(53)
         data = make_dataset(rng, 50, 8, 3)
         y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(t_steps=2, levels=2, hidden=9, master_seed=4)
         model, residual_norms = train(data, y, hyper)
-        fallback = linalg._scipy_lapack(linalg._library(linalg._flapack_path()))
-        monkeypatch.setattr(linalg, "_LAPACK", fallback)
-        fallback, fallback_norms = train(data, y, hyper)
-        assert np.array_equal(_bits(fallback.weights), _bits(model.weights))
-        assert np.array_equal(_bits(fallback_norms), _bits(residual_norms))
+        usual = importlib.import_module("scipy.linalg._flapack")
+        monkeypatch.setattr(linalg, "_LAPACK", (usual, linalg._lapack()[1]))
+        again, again_norms = train(data, y, hyper)
+        assert np.array_equal(_bits(again.weights), _bits(model.weights))
+        assert np.array_equal(_bits(again_norms), _bits(residual_norms))
 
     def test_at_most_two_encodings_alive(self):
         # encodings dominate at this shape: N x J is 16 times J x J and 32

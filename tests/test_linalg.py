@@ -1,16 +1,19 @@
 """Tests for the dense linear-algebra kernels, checked against naive oracles."""
 
+import importlib
+import importlib.machinery
 import logging
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elmboost import linalg
+from elmboost import HyperParams, linalg, one_hot_encode, train
 from elmboost.linalg import (
     NotPositiveDefiniteError,
     cholesky_solve,
@@ -23,8 +26,8 @@ from elmboost.linalg import (
 from helpers import (
     blas_threads,
     gauss_jordan_solve,
+    make_dataset,
     naive_matmul,
-    needs_ctypes_lapack,
     set_blas_threads,
 )
 
@@ -95,13 +98,18 @@ class TestCholeskySolve:
         assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
     def test_shape_errors(self):
-        # the top 2 x 2 block is positive definite, so only the shape check
-        # stands between dpotrf (n = lda = 3) and the end of the 6-element buffer
+        # the top 2 x 2 block is positive definite; dpotrf's wrapper refuses
+        # the tall matrix too, but not with a ValueError
         tall = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             cholesky_solve(tall, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="shape mismatch"):
             cholesky_solve(np.eye(3), np.zeros((2, 1)))
+
+    def test_empty_system_rejected(self):
+        # dpotrf factors a 0 x 0 matrix; dpotrs's wrapper then refuses it
+        with pytest.raises(ValueError):
+            cholesky_solve(np.zeros((0, 0)), np.zeros((0, 2)))
 
 
 class TestRidgeSolve:
@@ -151,9 +159,17 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.eye(2), -0.5)
 
+    @pytest.mark.parametrize("h, y, match", [
+        (np.eye(3), np.ones(3), "factor_solve shape mismatch"),
+        (np.eye(3), np.ones((2, 1)), "matmul"),
+        (np.ones(3), np.ones((3, 1)), "gram needs a nonempty 2-D matrix"),
+    ], ids=["1-D y", "row mismatch", "1-D h"])
+    def test_shape_errors(self, h, y, match):
+        with pytest.raises(ValueError, match=match):
+            ridge_solve(h, y, 0.5)
 
 
-@needs_ctypes_lapack
+
 def test_training_never_imports_scipy_linalg():
     # scipy.linalg costs 25-29 MB of resident memory for two LAPACK calls
     script = """
@@ -166,7 +182,7 @@ images = np.random.default_rng(0).integers(0, 256, (20, 6), dtype=np.uint8)
 data = normalize(RawDataset(images=images, labels=np.arange(20) % 2, num_classes=2))
 model, _ = train(data, one_hot_encode(data.labels, 2), HyperParams(t_steps=2, levels=2, hidden=4))
 assert np.isfinite(model.weights).all()
-assert linalg._lapack().via == "ctypes"
+assert linalg._lapack()[0].__name__ == "_flapack"
 assert "scipy.linalg" not in sys.modules, "training imported scipy.linalg"
 """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -192,26 +208,31 @@ LAPACK_SHAPES = [(1, 1), (2, 3), (3, 1), (7, 2), (16, 10), (31, 4), (64, 1), (65
                  (128, 3), (200, 7), (257, 10), (511, 2)]
 
 
-@needs_ctypes_lapack
-class TestCtypesLapack:
-    """The ctypes binding gives scipy.linalg.lapack's bits: it is the same function."""
+class TestFlapack:
+    """The _flapack module loaded from its file gives scipy.linalg.lapack's bits."""
 
-    def test_picked_where_the_symbols_resolve(self):
-        assert linalg._lapack().via == "ctypes"
+    def test_loaded_from_its_file(self):
+        from scipy.linalg import _flapack
+
+        flapack = linalg._lapack()[0]
+        assert flapack.__name__ == "_flapack" and flapack is not _flapack
+        assert flapack.__file__ == _flapack.__file__
 
     @pytest.mark.parametrize("n, k", LAPACK_SHAPES)
     def test_factor_and_solve_match_scipy_bitwise(self, n, k):
         from scipy.linalg.lapack import dpotrf, dpotrs
 
+        flapack = linalg._lapack()[0]
         rng = np.random.default_rng(n * 100 + k)
         a = _spd(rng, n)
         b = rng.standard_normal((n, k))
         want, info = dpotrf(a, lower=1)
         assert info == 0
         c = np.asfortranarray(a.copy())
-        assert linalg._lapack().potrf(c) == 0
+        got, info = flapack.dpotrf(c, lower=1, clean=0, overwrite_a=1)
+        assert info == 0 and got is c
         assert np.array_equal(_bits(np.tril(c)), _bits(want))
-        z, info = linalg._lapack().potrs(c, b)
+        z, info = flapack.dpotrs(c, b, lower=1)
         assert info == 0
         want_z, _ = dpotrs(want, b, lower=1)
         assert np.array_equal(_bits(z), _bits(want_z))
@@ -226,7 +247,8 @@ class TestCtypesLapack:
         a[pivot, pivot] = -1.0
         want = dpotrf(a, lower=1)[1]
         assert want > 0
-        assert linalg._lapack().potrf(np.asfortranarray(a.copy())) == want
+        flapack = linalg._lapack()[0]
+        assert flapack.dpotrf(np.asfortranarray(a.copy()), lower=1, clean=0, overwrite_a=1)[1] == want
         with pytest.raises(NotPositiveDefiniteError) as excinfo:
             cholesky_solve(a, np.ones((n, 1)))
         assert excinfo.value.pivot_index == want - 1
@@ -241,7 +263,7 @@ class TestCtypesLapack:
         y = rng.standard_normal((n + 9, k))
         g = gram(h)
         g[np.diag_indices_from(g)] += 0.3
-        with linalg._lapack().threads:  # ridge_solve runs LAPACK on one thread
+        with linalg._lapack()[1]:  # ridge_solve runs LAPACK on one thread
             want = dpotrs(dpotrf(g, lower=1)[0], h.T @ y, lower=1)[0]
         got = ridge_solve(h, y, 0.3)
         assert np.array_equal(_bits(got), _bits(want))
@@ -308,19 +330,56 @@ class TestRidgeFactor:
         assert np.array_equal(ridge_solve(h, y, lam), ridge_solve(h.astype(np.float64), y, lam))
 
 
-class TestFallback:
-    def test_missing_symbols_fall_back_to_scipy(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_flapack_path", lambda: None)
-        assert linalg._load_lapack().via == "scipy.linalg.lapack"
+class TestUsualImport:
+    """Importing scipy.linalg._flapack the usual way gives the same module's bits."""
 
     @pytest.mark.parametrize("n, k", LAPACK_SHAPES[::4])
-    def test_both_paths_give_the_same_bits(self, monkeypatch, n, k):
+    def test_both_routes_give_the_same_bits(self, monkeypatch, n, k):
         rng = np.random.default_rng(n)
         a, b = _spd(rng, n), rng.standard_normal((n, k))
         first = cholesky_solve(a, b)
-        fallback = linalg._scipy_lapack(linalg._library(linalg._flapack_path()))
-        monkeypatch.setattr(linalg, "_LAPACK", fallback)
+        usual = importlib.import_module("scipy.linalg._flapack")
+        monkeypatch.setattr(linalg, "_LAPACK", (usual, linalg._lapack()[1]))
         assert np.array_equal(_bits(cholesky_solve(a, b)), _bits(first))
+
+    def test_no_file_found_trains_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        data = make_dataset(rng, 40, 6, 3)
+        y = one_hot_encode(data.labels, 3)
+        hyper = HyperParams(t_steps=2, levels=2, hidden=7, master_seed=5)
+        model, norms = train(data, y, hyper)
+        usual = importlib.import_module("scipy.linalg._flapack")  # before the finder is gone
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args: None)
+        )
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+        again, again_norms = train(data, y, hyper)
+        assert linalg._lapack()[0] is usual
+        assert np.array_equal(_bits(again.weights), _bits(model.weights))
+        assert np.array_equal(_bits(again_norms), _bits(norms))
+
+    @pytest.mark.parametrize("first", ["elmboost", "scipy.linalg"])
+    def test_both_import_orders_coexist(self, first):
+        script = f"""
+import numpy as np
+from elmboost import linalg
+a, b = np.diag([4.0, 9.0]), np.ones((2, 1))
+if {first!r} == "scipy.linalg":
+    import scipy.linalg
+z = linalg.cholesky_solve(a, b)
+import scipy.linalg
+from scipy.linalg import _flapack
+assert linalg._lapack()[0].__name__ == "_flapack" and linalg._lapack()[0] is not _flapack
+assert np.array_equal(scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b), z)
+assert np.array_equal(linalg.cholesky_solve(a, b), z)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestLapackThreads:
@@ -329,7 +388,7 @@ class TestLapackThreads:
     @pytest.fixture
     def lapack_on_three(self):
         """LAPACK's OpenBLAS on 3 threads; yields its library path."""
-        lapack = linalg._flapack_path()
+        lapack = linalg._lapack()[0].__file__
         saved = blas_threads(lapack)
         set_blas_threads(3, lapack)
         yield lapack
@@ -351,36 +410,37 @@ class TestLapackThreads:
 
     @staticmethod
     def _record(monkeypatch, lapack, before=lambda: None):
-        """[(call, LAPACK's thread count inside it)], filled by wrappers around potrf / potrs.
+        """[(call, LAPACK's thread count inside it)], filled by wrappers around dpotrf / dpotrs.
 
-        before runs first in every potrf.
+        before runs first in every dpotrf.
         """
         seen = []
-        binding = linalg._lapack()
+        flapack, threads = linalg._lapack()
 
         def recording(name, call, before):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 before()
                 seen.append((name, blas_threads(lapack)))
-                return call(*args)
+                return call(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(linalg, "_LAPACK", binding._replace(
-            potrf=recording("potrf", binding.potrf, before),
-            potrs=recording("potrs", binding.potrs, lambda: None),
-        ))
+        stand_in = types.SimpleNamespace(
+            dpotrf=recording("dpotrf", flapack.dpotrf, before),
+            dpotrs=recording("dpotrs", flapack.dpotrs, lambda: None),
+        )
+        monkeypatch.setattr(linalg, "_LAPACK", (stand_in, threads))
         return seen
 
     def test_calls_run_on_one_thread_and_restore(self, monkeypatch, lapack_on_three):
         recorded = self._record(monkeypatch, lapack_on_three)
         rng = np.random.default_rng(15)
         ridge_solve(rng.standard_normal((40, 12)), rng.standard_normal((40, 2)), 0.5)
-        assert recorded == [("potrf", 1), ("potrs", 1)]
+        assert recorded == [("dpotrf", 1), ("dpotrs", 1)]
         assert blas_threads(lapack_on_three) == 3
         with pytest.raises(NotPositiveDefiniteError):
             ridge_factor(np.ones((4, 3)), 0.0)
-        assert recorded[2:] == [("potrf", 1)]
+        assert recorded[2:] == [("dpotrf", 1)]
         assert blas_threads(lapack_on_three) == 3
 
     def test_two_threads_factoring_at_once_restore(self, monkeypatch, lapack_on_three):
@@ -401,7 +461,7 @@ class TestLapackThreads:
         for runner in runners:
             runner.join(timeout=60)
         assert not errors and not any(runner.is_alive() for runner in runners)
-        assert recorded == [("potrf", 1), ("potrf", 1)]
+        assert recorded == [("dpotrf", 1), ("dpotrf", 1)]
         assert blas_threads(lapack_on_three) == 3
 
 
@@ -411,7 +471,7 @@ class TestOneBlasThread:
     @pytest.fixture
     def three_threads(self):
         """numpy's and LAPACK's OpenBLAS both on 3 threads; yields LAPACK's library path."""
-        lapack = linalg._flapack_path()
+        lapack = linalg._lapack()[0].__file__
         saved = blas_threads(), blas_threads(lapack)
         set_blas_threads(3)
         set_blas_threads(3, lapack)
