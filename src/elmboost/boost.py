@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import lanes, linalg
-from .dataset import Dataset
+from .dataset import Dataset, one_hot_encode
 from .projection import Activation, ProjectionSpec, activate, check_ints, encode, generate_projection
 
 log = logging.getLogger(__name__)
@@ -106,14 +106,11 @@ def _slot_factor(x: np.ndarray, spec: ProjectionSpec, hyper: HyperParams, slot: 
         ) from exc
 
 
-def train(
-    data: Dataset,
-    targets: np.ndarray,
-    hyper: HyperParams,
-) -> tuple[BoostedModel, np.ndarray]:
+def train(data: Dataset, hyper: HyperParams) -> tuple[BoostedModel, np.ndarray]:
     """Fit the boosted ridge ensemble.
 
-    Maintains a running residual initialized to the targets.  For every
+    Maintains a running residual initialized to the N x K one-hot targets
+    of data's labels (dataset.one_hot_encode).  For every
     (level, step) in order: generate that slot's projection, encode the
     samples, ridge-solve against the residual, and subtract alpha times the
     fitted scores from the residual.  This is identical to fitting each step
@@ -137,9 +134,7 @@ def train(
     Parameters
     ----------
     data : Dataset
-        Normalized training samples.
-    targets : ndarray
-        N x K one-hot target matrix.
+        Normalized training samples and their labels.
     hyper : HyperParams
         Training configuration.
 
@@ -152,18 +147,11 @@ def train(
         the training residual.
     """
     x = data.x
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 2 or targets.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"targets must be 2-D with one row per sample: samples {x.shape}, "
-            f"targets {targets.shape}"
-        )
-    k = targets.shape[1]
     spec = ProjectionSpec(master_seed=hyper.master_seed, j=hyper.hidden, m=x.shape[1])
 
-    residual = targets.copy()
+    residual = one_hot_encode(data.labels, data.num_classes)
     residual_norms = np.zeros((hyper.levels, hyper.t_steps))
-    weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, k))
+    weights = np.empty((hyper.levels, hyper.t_steps, hyper.hidden, data.num_classes))
 
     def solve(slot: tuple[int, int], factored) -> None:
         nonlocal residual  # updated in place
@@ -186,7 +174,9 @@ def train(
     for _ in lanes.in_order(_slots(hyper.levels, hyper.t_steps), work, solve):
         pass  # solve returns nothing; the walk runs to its end
 
-    model = BoostedModel(hyper=hyper, weights=weights, num_classes=k, input_width=x.shape[1])
+    model = BoostedModel(
+        hyper=hyper, weights=weights, num_classes=data.num_classes, input_width=x.shape[1]
+    )
     return model, residual_norms
 
 
@@ -255,8 +245,8 @@ def _plan(model, x_new):
         x = inputs[id(given)]
         if x.ndim != 2 or x.shape[1] != job_model.input_width:
             raise ValueError(
-                f"input width mismatch: samples are {x.shape}, "
-                f"model expects {job_model.input_width} columns"
+                f"input width mismatch: samples must be N x {job_model.input_width}, "
+                f"got shape {x.shape}"
             )
         hyper = job_model.hyper
         key = (hyper.master_seed, hyper.hidden, job_model.input_width, hyper.levels, hyper.t_steps)

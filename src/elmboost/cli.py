@@ -41,7 +41,6 @@ from .dataset import (
     load_idx_images,
     load_idx_labels,
     normalize,
-    one_hot_encode,
     zero_pixel_noise,
 )
 from .linalg import NotPositiveDefiniteError, check_lam
@@ -215,7 +214,6 @@ def cmd_train(args) -> int:
         )
     data = normalize(raw)
     del raw  # the raw images are not read again; free them before training
-    targets = one_hot_encode(data.labels, data.num_classes)
     hidden = args.hidden if args.hidden is not None else data.x.shape[1]
     hyper = HyperParams(
         lam=args.lam,
@@ -232,7 +230,7 @@ def cmd_train(args) -> int:
         hyper.hidden, hyper.activation.value, hyper.master_seed,
     )
     started = time.perf_counter()
-    model, residual_norms = train(data, targets, hyper)
+    model, residual_norms = train(data, hyper)
     log.info("trained in %.1f s", time.perf_counter() - started)
     model_store.save(model, args.model)
     log.info("saved model to %s", args.model)

@@ -96,14 +96,37 @@ def _check_labels(labels: np.ndarray, k: int) -> None:
         raise ValueError(f"label out of range for {k} classes: [{labels.min()}, {labels.max()}]")
 
 
+def _exact(values, dtype, name: str) -> np.ndarray:
+    """values as a C-contiguous dtype array, refusing a cast that would change any value.
+
+    Complex values raise ValueError, and so does any entry the cast would
+    change (out of range, fractional or not finite); the message names the
+    first such entry as name[index].  Values already of dtype are not compared.
+    """
+    given = np.asarray(values)
+    if given.dtype == dtype:
+        return np.ascontiguousarray(given)
+    if np.iscomplexobj(given):
+        raise ValueError(f"{name} must be real, got {given.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN and inf are reported below
+        cast = given.astype(dtype, order="C")
+    changed = np.flatnonzero(cast.astype(given.dtype) != given)
+    if changed.size:
+        raise ValueError(
+            f"{name}[{', '.join(map(str, np.unravel_index(changed[0], given.shape)))}] = "
+            f"{given.flat[changed[0]]} changes when cast to {np.dtype(dtype)}"
+        )
+    return cast
+
+
 def _samples(x, labels, k: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(x as a C-contiguous dtype matrix, labels as C-contiguous int64), checked as one set.
 
-    Raises ValueError unless x is N x M with M >= 1 and labels holds one
-    label in [0, k) per row.
+    Raises ValueError unless x is N x M with M >= 1, labels holds one
+    label in [0, k) per row, and neither cast changes a value (_exact).
     """
-    x = np.ascontiguousarray(x, dtype=dtype)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    x = _exact(x, dtype, "samples")
+    labels = _exact(labels, np.int64, "labels")
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"samples must be N x M with M >= 1, got shape {x.shape}")
     _check_labels(labels, k)
@@ -211,7 +234,7 @@ def normalize(raw: RawDataset) -> Dataset:
 
 def one_hot_encode(labels, k: int) -> np.ndarray:
     """N x k {0,1} target matrix with a single 1 per row."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _exact(labels, np.int64, "labels")
     _check_labels(labels, k)
     y = np.zeros((labels.shape[0], k))
     y[np.arange(labels.shape[0]), labels] = 1.0

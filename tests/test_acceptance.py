@@ -88,7 +88,7 @@ def test_criterion_2_residual_monotonicity():
             lam=1.0, alpha=alphas[trial % 3], t_steps=5, levels=3, hidden=16,
             master_seed=trial,
         )
-        _, norms = train(data, y, hyper)
+        _, norms = train(data, hyper)
         norms = norms.ravel()
         slack = 1e-9 * np.linalg.norm(y)
         assert np.all(norms[1:] <= norms[:-1] + slack), f"trial {trial}"
@@ -105,7 +105,7 @@ def test_criterion_3_plain_elm_reduction():
     data = make_dataset(rng, 500, 32, 4)
     y = one_hot_encode(data.labels, 4)
     hyper = HyperParams(lam=1.0, alpha=1.0, t_steps=1, levels=1, hidden=24, master_seed=17)
-    model, _ = train(data, y, hyper)
+    model, _ = train(data, hyper)
 
     r = generate_projection(ProjectionSpec(master_seed=17, j=24, m=32), 0, 0)
     h = encode(data.x, r, Activation.TANH)
@@ -127,11 +127,10 @@ def test_criterion_4_determinism_and_persistence(tmp_path):
     rng = np.random.default_rng(404)
     started = time.perf_counter()
     data = make_dataset(rng, 150, 12, 3)
-    y = one_hot_encode(data.labels, 3)
     hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=3, levels=2, hidden=10, master_seed=31)
 
-    model_a, _ = train(data, y, hyper)
-    model_b, _ = train(data, y, hyper)
+    model_a, _ = train(data, hyper)
+    model_b, _ = train(data, hyper)
     path_a, path_b = tmp_path / "a.elmb", tmp_path / "b.elmb"
     save(model_a, path_a)
     save(model_b, path_b)
@@ -207,7 +206,7 @@ def test_criterion_6_desk_scale_mnist_accuracy():
         activation=Activation.TANH, master_seed=0,
     )
     started = time.perf_counter()
-    model, _ = train(tr, one_hot_encode(tr.labels, 10), hyper)
+    model, _ = train(tr, hyper)
     elapsed = time.perf_counter() - started
     eta = _level_accuracy(model, te)
     assert eta[-1] >= 0.96, f"final accuracy {eta[-1]:.4f}"
@@ -235,7 +234,7 @@ def _full_run(cache, dataset, activation):
             pytest.skip(f"{dataset} IDX files not found; see README for the expected layout")
         tr = normalize(_load_split(root, dataset, "train"))
         te = normalize(_load_split(root, dataset, "test"))
-        model, _ = train(tr, one_hot_encode(tr.labels, 10), _reference_config(activation))
+        model, _ = train(tr, _reference_config(activation))
         cache[key] = (model, _level_accuracy(model, te))
     return cache[key]
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from elmboost import cli, linalg, model_store
-from elmboost.boost import accuracy, classify, predict_scores
+from elmboost.boost import HyperParams, accuracy, classify, predict_scores, train
 from elmboost.cli import main
 from elmboost.dataset import (
     RawDataset,
@@ -22,6 +22,7 @@ from elmboost.dataset import (
     zero_pixel_noise,
 )
 from elmboost.model_store import crc64
+from elmboost.projection import Activation
 
 from helpers import fifo_writer, needs_mkfifo, separable_images, write_idx
 
@@ -101,6 +102,37 @@ class TestTrainCommand:
         assert main(argv_b) == 0
         assert (tmp_path / "m2.elmb").read_bytes() == model_a
         assert (tmp_path / "t2.csv").read_bytes() == csv_a
+
+    @pytest.mark.parametrize(
+        "flags, hyper",
+        [
+            ({}, HyperParams(t_steps=2, levels=2, hidden=16, master_seed=5)),
+            (
+                {"--lambda": "0.25", "--alpha": "0.8", "--hidden": "7", "--activation": "sign",
+                 "--train-subset": "40"},
+                HyperParams(lam=0.25, alpha=0.8, t_steps=2, levels=2, hidden=7,
+                            activation=Activation.SIGN, master_seed=5),
+            ),
+        ],
+        ids=["defaults", "every training flag"],
+    )
+    def test_outputs_match_the_library(self, data_dir, tmp_path, flags, hyper):
+        assert main(train_args(data_dir, tmp_path, **flags)) == 0
+        rows = int(flags.get("--train-subset", 150))
+        mnist = data_dir / "mnist"
+        raw = RawDataset(
+            images=load_idx_images(mnist / "train-images-idx3-ubyte.gz")[:rows],
+            labels=load_idx_labels(mnist / "train-labels-idx1-ubyte.gz")[:rows],
+            num_classes=3,
+        )
+        model, norms = train(normalize(raw), hyper)
+        model_store.save(model, tmp_path / "library.elmb")
+        assert (tmp_path / "model.elmb").read_bytes() == (tmp_path / "library.elmb").read_bytes()
+        header, written = read_csv(tmp_path / "train.csv")
+        assert header == ["level", "step", "residual_norm"]
+        assert [(int(lv), int(t), float(n)) for lv, t, n in written] == [
+            (lv, t, norms[lv, t]) for lv in range(2) for t in range(2)
+        ]
 
     def test_truncated_gzip_labels_exit_2_without_traceback(self, data_dir, tmp_path, capsys):
         path = data_dir / "mnist" / "train-labels-idx1-ubyte.gz"

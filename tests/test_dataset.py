@@ -288,6 +288,10 @@ class TestOneHot:
         with pytest.raises(ValueError, match=match):
             one_hot_encode(labels, k)
 
+    def test_fractional_label_rejected(self):
+        with pytest.raises(ValueError, match=r"labels\[0\] = 1.5 changes when cast to int64"):
+            one_hot_encode([1.5], 2)
+
 
 class TestZeroPixelNoise:
     @staticmethod
@@ -379,17 +383,61 @@ class TestPairing:
             (np.zeros((0, 4)), [], 0, "num_classes must be >= 1"),
             (np.zeros((2, 4)), [0, 3], 3, "label out of range"),
             (np.zeros((2, 4)), [-1, 0], 3, "label out of range"),
+            (np.zeros((2, 4)), [0, 1.9], 2, r"labels\[1\] = 1.9 changes when cast to int64"),
+            (np.zeros((2, 4)), [0, 1 + 0j], 2, "labels must be real, got complex128"),
         ],
     )
     def test_rejected(self, build, images, labels, num_classes, match):
         with pytest.raises(ValueError, match=match):
             build(images, labels, num_classes)
 
+    def test_strided_samples_of_the_stored_dtype_are_made_contiguous(self, build):
+        dtype = np.uint8 if build is _raw else np.float64
+        made = build(np.zeros((2, 8), dtype)[:, ::2], [0, 0], 1)
+        samples = made.images if build is _raw else made.x
+        assert samples.shape == (2, 4) and samples.flags.c_contiguous
+
+    def test_exact_casts_are_accepted(self, build):
+        made = build(np.zeros((2, 3), np.float32), np.array([1.0, 0.0]), 2)
+        assert made.labels.tolist() == [1, 0]
+
+
+class TestLossyRawImages:
+    """RawDataset refuses images whose cast to uint8 would change a value."""
+
+    @pytest.mark.parametrize(
+        "images, match",
+        [
+            ([[300, 5]], r"samples\[0, 0\] = 300 changes when cast to uint8"),
+            ([[-1, 5]], r"samples\[0, 0\] = -1 "),
+            ([[0.7, 200.9]], r"samples\[0, 0\] = 0.7 "),
+            ([[1, 2], [3, 256]], r"samples\[1, 1\] = 256 "),
+            ([[1.0, np.nan]], r"samples\[0, 1\] = nan "),
+            ([[1.0, np.inf]], r"samples\[0, 1\] = inf "),
+        ],
+        ids=["too large", "negative", "fractional", "second row", "nan", "inf"],
+    )
+    def test_first_changed_value_is_named(self, images, match):
+        with pytest.raises(ValueError, match=match):
+            RawDataset(images=images, labels=[0] * len(images), num_classes=1)
+
+    @pytest.mark.parametrize(
+        "images", [[[1 + 2j, 5]], [[1 + 0j, 5]]], ids=["imaginary", "zero imaginary"]
+    )
+    def test_complex_rejected(self, images):
+        with pytest.raises(ValueError, match="samples must be real, got complex128"):
+            RawDataset(images=images, labels=[0], num_classes=1)
+
 
 class TestDatasetValidation:
     def test_rejects_unnormalized_rows(self):
         with pytest.raises(ValueError, match="not normalized"):
             Dataset(x=np.array([[1.0, 2.0]]), labels=np.array([0]), num_classes=1)
+
+    def test_rejects_integers_float64_cannot_hold(self):
+        x = np.array([[2**53 + 1, -(2**53 + 1)]])
+        with pytest.raises(ValueError, match=r"samples\[0, 0\] = 9007199254740993 .* float64"):
+            Dataset(x=x, labels=[0], num_classes=1)
 
     def test_accepts_zero_rows(self):
         data = Dataset(x=np.zeros((2, 3)), labels=np.array([0, 0]), num_classes=1)

@@ -18,7 +18,7 @@ both are reported (run with -s) and no relative robustness is asserted.
 import pytest
 
 from elmboost.boost import HyperParams, accuracy, classify, iter_level_scores, train
-from elmboost.dataset import normalize, one_hot_encode, zero_pixel_noise
+from elmboost.dataset import normalize, zero_pixel_noise
 
 from helpers import gaussian_blob_splits
 
@@ -35,8 +35,7 @@ def _level_accuracies(seed):
     """{model name: (clean accuracy per level, 10 %-noise accuracy per level)}."""
     raw_train, raw_test = gaussian_blob_splits(seed)
     data = normalize(raw_train)
-    targets = one_hot_encode(data.labels, data.num_classes)
-    models = {name: train(data, targets, hyper)[0] for name, hyper in _configs(seed).items()}
+    models = {name: train(data, hyper)[0] for name, hyper in _configs(seed).items()}
     inputs = (normalize(raw_test), normalize(zero_pixel_noise(raw_test, 0.1, seed + 100)))
     jobs = [(model, test.x) for model in models.values() for test in inputs]
     curves = [[] for _ in jobs]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elmboost import HyperParams, linalg, one_hot_encode, train
+from elmboost import HyperParams, linalg, train
 from elmboost.linalg import (
     NotPositiveDefiniteError,
     cholesky_solve,
@@ -177,10 +177,10 @@ import sys
 import elmboost, elmboost.cli
 assert "scipy.linalg" not in sys.modules, "importing elmboost imported scipy.linalg"
 import numpy as np
-from elmboost import HyperParams, RawDataset, linalg, normalize, one_hot_encode, train
+from elmboost import HyperParams, RawDataset, linalg, normalize, train
 images = np.random.default_rng(0).integers(0, 256, (20, 6), dtype=np.uint8)
 data = normalize(RawDataset(images=images, labels=np.arange(20) % 2, num_classes=2))
-model, _ = train(data, one_hot_encode(data.labels, 2), HyperParams(t_steps=2, levels=2, hidden=4))
+model, _ = train(data, HyperParams(t_steps=2, levels=2, hidden=4))
 assert np.isfinite(model.weights).all()
 assert linalg._lapack()[0].__name__ == "_flapack"
 assert "scipy.linalg" not in sys.modules, "training imported scipy.linalg"
@@ -345,15 +345,14 @@ class TestUsualImport:
     def test_no_file_found_trains_the_same_bits(self, monkeypatch):
         rng = np.random.default_rng(17)
         data = make_dataset(rng, 40, 6, 3)
-        y = one_hot_encode(data.labels, 3)
         hyper = HyperParams(t_steps=2, levels=2, hidden=7, master_seed=5)
-        model, norms = train(data, y, hyper)
+        model, norms = train(data, hyper)
         usual = importlib.import_module("scipy.linalg._flapack")  # before the finder is gone
         monkeypatch.setattr(
             importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args: None)
         )
         monkeypatch.setattr(linalg, "_LAPACK", None)
-        again, again_norms = train(data, y, hyper)
+        again, again_norms = train(data, hyper)
         assert linalg._lapack()[0] is usual
         assert np.array_equal(_bits(again.weights), _bits(model.weights))
         assert np.array_equal(_bits(again_norms), _bits(norms))

@@ -13,7 +13,6 @@ import pytest
 
 from elmboost import model_store
 from elmboost.boost import BoostedModel, HyperParams, predict_scores, train
-from elmboost.dataset import one_hot_encode
 from elmboost.model_store import (
     HEADER_SIZE,
     BadMagicError,
@@ -34,9 +33,8 @@ from helpers import crc64_reference, fifo_writer, make_dataset, needs_lzma_crc64
 def small_model():
     rng = np.random.default_rng(0)
     data = make_dataset(rng, 60, 9, 3)
-    y = one_hot_encode(data.labels, 3)
     hyper = HyperParams(lam=1.0, alpha=0.5, t_steps=2, levels=2, hidden=5, master_seed=99)
-    model, _ = train(data, y, hyper)
+    model, _ = train(data, hyper)
     return model, data
 
 
@@ -147,7 +145,7 @@ class TestRoundTrip:
             activation=(Activation.TANH, Activation.SIGN)[seed % 2],
             master_seed=seed,
         )
-        model, _ = train(data, one_hot_encode(data.labels, k), hyper)
+        model, _ = train(data, hyper)
         path = tmp_path / "m.elmb"
         save(model, path)
         x = make_dataset(rng, int(rng.integers(1, 60)), m, k).x

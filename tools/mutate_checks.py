@@ -18,7 +18,7 @@ Usage, from anywhere in a checkout::
 
     python3 tools/mutate_checks.py
 
-A full sweep runs the suite once per mutant: 80 mutants took 12 minutes on
+A full sweep runs the suite once per mutant: 77 mutants took 11.5 minutes on
 a 2-vCPU host.
 """
 
