@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import logging
 import math
@@ -134,7 +135,8 @@ def _split_files(args, split: str) -> tuple[Path, Path]:
     )
 
 
-def _load_split(split: str, files: tuple[Path, Path], num_classes: int) -> RawDataset:
+def _load_split(split: str, files: tuple[Path, Path], num_classes: int, rows: int | None = None) -> RawDataset:
+    """The split's first rows samples (all of them for None), after both files' counts are checked."""
     images_path, labels_path = files
     images = load_idx_images(images_path)
     if images.shape[0] == 0:
@@ -145,7 +147,7 @@ def _load_split(split: str, files: tuple[Path, Path], num_classes: int) -> RawDa
             f"{split} image and label files disagree: {images.shape[0]} images, "
             f"{labels.shape[0]} labels"
         )
-    return RawDataset(images=images, labels=labels, num_classes=num_classes)
+    return RawDataset(images=images[:rows], labels=labels[:rows], num_classes=num_classes)
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -194,36 +196,35 @@ def _check_outputs(outputs, inputs=()) -> None:
         named[key] = path
 
 
-def _check_model_matches(model, data) -> None:
-    # the scorer checks the input width
-    if data.num_classes != model.num_classes:
-        raise UsageError(
-            f"model has {model.num_classes} classes, dataset declares {data.num_classes}"
-        )
+def _scoring_input(args, model_paths) -> tuple[list, RawDataset]:
+    """(the loaded models, the raw test split) of curve or noise, each model's class count checked.
+
+    The split's files are found and the output checked against them and the
+    models before anything is read.  The scorer checks the input width.
+    """
+    files = _split_files(args, "test")
+    _check_outputs([args.out], [*model_paths, *files])
+    models = [model_store.load(path) for path in model_paths]
+    raw = _load_split("test", files, args.classes)
+    for model in models:
+        if raw.num_classes != model.num_classes:
+            raise UsageError(
+                f"model has {model.num_classes} classes, dataset declares {raw.num_classes}"
+            )
+    return models, raw
 
 
 def cmd_train(args) -> int:
     files = _split_files(args, "train")
     _check_outputs([args.model, args.out], files)
-    raw = _load_split("train", files, args.classes)
-    if args.train_subset is not None:
-        raw = RawDataset(
-            images=raw.images[: args.train_subset],
-            labels=raw.labels[: args.train_subset],
-            num_classes=raw.num_classes,
-        )
-    data = normalize(raw)
-    del raw  # the raw images are not read again; free them before training
-    hidden = args.hidden if args.hidden is not None else data.x.shape[1]
-    hyper = HyperParams(
-        lam=args.lam,
-        alpha=args.alpha,
-        t_steps=args.t_steps,
-        levels=args.levels,
-        hidden=hidden,
-        activation=Activation(args.activation),
-        master_seed=args.seed,
-    )
+    data = normalize(_load_split("train", files, args.classes, args.train_subset))
+    # each HyperParams field is the dest of one train flag
+    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(HyperParams)}
+    hyper = HyperParams(**{
+        **flags,
+        "hidden": args.hidden if args.hidden is not None else data.x.shape[1],
+        "activation": Activation(args.activation),
+    })
     log.info(
         "training on %d samples: lambda=%g alpha=%g T=%d L=%d J=%d act=%s seed=%d",
         data.x.shape[0], hyper.lam, hyper.alpha, hyper.t_steps, hyper.levels,
@@ -234,22 +235,15 @@ def cmd_train(args) -> int:
     log.info("trained in %.1f s", time.perf_counter() - started)
     model_store.save(model, args.model)
     log.info("saved model to %s", args.model)
-    rows = [
-        (lv, t, residual_norms[lv, t])
-        for lv in range(hyper.levels)
-        for t in range(hyper.t_steps)
-    ]
+    rows = [(lv, t, norm) for (lv, t), norm in np.ndenumerate(residual_norms)]
     _write_csv(args.out, ["level", "step", "residual_norm"], rows)
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    files = _split_files(args, "test")
-    _check_outputs([args.out], [*args.model, *files])
-    models = [model_store.load(path) for path in args.model]
-    data = normalize(_load_split("test", files, args.classes))
-    for model in models:
-        _check_model_matches(model, data)
+    models, raw = _scoring_input(args, args.model)
+    data = normalize(raw)
+    del raw  # the raw images are not read again; free them before scoring
     if len(models) > 1:
         if len({m.hyper.activation for m in models}) != len(models):
             raise UsageError("supply at most one model per activation")
@@ -268,11 +262,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    files = _split_files(args, "test")
-    _check_outputs([args.out], [args.model, *files])
-    model = model_store.load(args.model)
-    raw = _load_split("test", files, args.classes)
-    _check_model_matches(model, raw)
+    (model,), raw = _scoring_input(args, [args.model])
 
     def noisy(fraction: float):
         return normalize(zero_pixel_noise(raw, fraction, args.seed))
@@ -342,18 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a boosted model and save it")
     _add_dataset_flags(p_train)
-    p_train.add_argument("--lambda", dest="lam", type=_checked(float, check_lam), default=1.0,
-                         help="ridge regularizer (default 1)")
-    p_train.add_argument("--alpha", type=_checked(float, check_alpha), default=0.5,
-                         help="discount factor (default 0.5)")
-    p_train.add_argument("--t-steps", type=_checked(int, _ints("t_steps", 1)), default=50,
-                         help="ridge fits per level (default 50)")
-    p_train.add_argument("--levels", type=_checked(int, _ints("levels", 1)), default=8,
-                         help="boosting levels (default 8; the curves saturate near 7)")
+    p_train.add_argument("--lambda", dest="lam", type=_checked(float, check_lam),
+                         default=HyperParams.lam, help="ridge regularizer (default %(default)s)")
+    p_train.add_argument("--alpha", type=_checked(float, check_alpha), default=HyperParams.alpha,
+                         help="discount factor (default %(default)s)")
+    p_train.add_argument("--t-steps", type=_checked(int, _ints("t_steps", 1)),
+                         default=HyperParams.t_steps, help="ridge fits per level (default %(default)s)")
+    p_train.add_argument("--levels", type=_checked(int, _ints("levels", 1)), default=HyperParams.levels,
+                         help="boosting levels (default %(default)s; the curves saturate near 7)")
     p_train.add_argument("--hidden", type=_checked(int, _ints("hidden", 1)), default=None,
                          help="hidden width J (default: the input width M)")
-    p_train.add_argument("--activation", choices=("tanh", "sign"), default="tanh")
-    p_train.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    p_train.add_argument("--activation", choices=[a.value for a in Activation],
+                         default=HyperParams.activation.value)
+    p_train.add_argument("--seed", dest="master_seed", metavar="SEED", type=_seed,
+                         default=HyperParams.master_seed, help="master seed (default %(default)s)")
     p_train.add_argument("--train-subset", type=_checked(int, _ints("train_subset", 1)),
                          default=None, help="use only the first N training rows")
     p_train.add_argument("--model", default="model.elmb", help="output model path")

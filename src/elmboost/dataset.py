@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
+import stat
 import struct
 import warnings
 import zlib
@@ -23,6 +25,10 @@ LABEL_MAGIC = 0x00000801
 
 # Largest payload a header may declare before it is treated as corrupt.
 _MAX_PAYLOAD = 1 << 40
+
+# Bytes asked for per read of an IDX file.  A reader that is asked for n
+# bytes allocates n up front, so a declared size is never passed to read().
+_READ_CHUNK = 1 << 20
 
 # Rows per block of _row_norms: bounds its x*x temporary at 256*M floats,
 # a quarter of a 1 000-row test split, which noise normalizes on two lanes.
@@ -141,28 +147,44 @@ def check_noise_fraction(fraction: float) -> None:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
 
 
-def _read_maybe_gzipped(path) -> bytes:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:2] == b"\x1f\x8b":
-        try:
-            blob = gzip.decompress(blob)
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise IdxCompressionError(f"{path}: corrupt gzip stream: {exc}") from exc
-    return blob
+def _read_upto(stream, n: int) -> bytearray:
+    """The next n bytes of stream, fewer only where it ends, read _READ_CHUNK bytes at a time."""
+    data = bytearray()
+    while len(data) < n:
+        chunk = stream.read(min(_READ_CHUNK, n - len(data)))
+        if not chunk:
+            break
+        data += chunk
+    return data
 
 
-def _read_idx(path, magic: int) -> np.ndarray:
-    """The payload of an IDX file (optionally gzipped) as a read-only uint8 array of its shape.
+def _read_into(stream, buffer) -> int:
+    """Fill buffer from stream, _READ_CHUNK bytes per read; the count read, short only where stream ends."""
+    view = memoryview(buffer)
+    filled = 0
+    while filled < len(view):
+        got = stream.readinto(view[filled : filled + _READ_CHUNK])
+        if not got:
+            break
+        filled += got
+    return filled
 
-    The header is magic, then magic & 0xFF u32 dimensions; every dimension
-    after the first must be nonzero.
-    """
-    blob = _read_maybe_gzipped(path)
-    header = 4 + 4 * (magic & 0xFF)
-    if len(blob) < header:
-        raise IdxTruncatedError(f"{path}: header truncated ({len(blob)} bytes)")
-    found, *shape = struct.unpack_from(f">{header // 4}I", blob)
+
+def _check_payload(path, found: int, expected: int) -> None:
+    """Raise IdxTruncatedError or IdxError unless found, the payload bytes present, is expected."""
+    if found < expected:
+        raise IdxTruncatedError(f"{path}: payload truncated, expected {expected} bytes, found {found}")
+    if found > expected:
+        raise IdxError(f"{path}: {found - expected} trailing bytes after payload")
+
+
+def _parse_idx(path, stream, magic: int, size: int | None) -> np.ndarray:
+    """The IDX record read from stream, whose length is size bytes when it is known."""
+    header_size = 4 + 4 * (magic & 0xFF)
+    header = _read_upto(stream, header_size)
+    if len(header) < header_size:
+        raise IdxTruncatedError(f"{path}: header truncated ({len(header)} bytes)")
+    found, *shape = struct.unpack(f">{header_size // 4}I", header)
     if found != magic:
         raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
     if 0 in shape[1:]:
@@ -170,14 +192,39 @@ def _read_idx(path, magic: int) -> np.ndarray:
     expected = math.prod(shape)
     if expected > _MAX_PAYLOAD:
         raise IdxDimensionError(f"{path}: declared payload of {expected} bytes is implausible")
-    payload = len(blob) - header
-    if payload < expected:
-        raise IdxTruncatedError(
-            f"{path}: payload truncated, expected {expected} bytes, found {payload}"
-        )
-    if payload > expected:
-        raise IdxError(f"{path}: {payload - expected} trailing bytes after payload")
-    return np.frombuffer(blob, dtype=np.uint8, count=expected, offset=header).reshape(shape)
+    if size is None:
+        # One byte past the payload reaches a gzip stream's trailer, which checks it.
+        payload = _read_upto(stream, expected + 1)
+        found = len(payload)
+    else:
+        # The checked size bounds the payload, so it is read in place.
+        _check_payload(path, size - header_size, expected)
+        payload = np.empty(expected, dtype=np.uint8)
+        found = _read_into(stream, payload) + len(stream.read(1))
+    if found > expected:
+        found += sum(len(chunk) for chunk in iter(lambda: stream.read(_READ_CHUNK), b""))
+    _check_payload(path, found, expected)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The payload of an IDX file (optionally gzipped) as a uint8 array of its shape.
+
+    The header is magic, then magic & 0xFF u32 dimensions; every dimension
+    after the first must be nonzero.  No read asks for more than _READ_CHUNK
+    bytes, so memory follows the bytes found, never the size a header
+    declares; a regular file's size is checked against that declared size
+    before its payload is read.
+    """
+    with open(path, "rb") as f:
+        if f.peek(2)[:2] != b"\x1f\x8b":
+            st = os.fstat(f.fileno())
+            return _parse_idx(path, f, magic, st.st_size if stat.S_ISREG(st.st_mode) else None)
+        try:
+            with gzip.GzipFile(fileobj=f) as stream:
+                return _parse_idx(path, stream, magic, None)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxCompressionError(f"{path}: corrupt gzip stream: {exc}") from exc
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -187,7 +234,7 @@ def load_idx_images(path) -> np.ndarray:
     """
     images = _read_idx(path, IMAGE_MAGIC)
     count, rows, cols = images.shape
-    return images.reshape(count, rows * cols).copy()
+    return images.reshape(count, rows * cols)
 
 
 def load_idx_labels(path) -> np.ndarray:

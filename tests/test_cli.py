@@ -1,11 +1,13 @@
 """End-to-end tests of the experiment CLI on small synthetic IDX datasets."""
 
 import csv
+import gzip
 import io
 import os
 import struct
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,46 @@ class TestTrainCommand:
 
     def test_train_subset(self, data_dir, tmp_path):
         assert main(train_args(data_dir, tmp_path, **{"--train-subset": "30"})) == 0
+
+    def test_subset_beyond_the_split_trains_on_every_row(self, data_dir, tmp_path):
+        assert main(train_args(data_dir, tmp_path)) == 0
+        whole = (tmp_path / "model.elmb").read_bytes(), (tmp_path / "train.csv").read_bytes()
+        assert main(train_args(data_dir, tmp_path, **{"--train-subset": "151"})) == 0
+        assert ((tmp_path / "model.elmb").read_bytes(), (tmp_path / "train.csv").read_bytes()) == whole
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["train"])
+        defaults = HyperParams()
+        assert (args.lam, args.alpha, args.t_steps, args.levels, args.master_seed) == (
+            defaults.lam, defaults.alpha, defaults.t_steps, defaults.levels, defaults.master_seed
+        )
+        assert Activation(args.activation) is defaults.activation
+        assert args.hidden is None  # the input width M
+
+    def test_unknown_activation_exits_1_naming_the_choices(self, data_dir, tmp_path, capsys):
+        assert main(train_args(data_dir, tmp_path, **{"--activation": "relu"})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --activation: invalid choice: 'relu'"), err
+        assert "tanh" in err and "sign" in err and err.count("\n") == 1
+        assert not (tmp_path / "model.elmb").exists()
+
+    def test_gzip_bomb_labels_exit_2_in_bounded_memory(self, data_dir, tmp_path, capsys):
+        # 10 labels, then 64 MiB of zeros that compress to about 65 KB
+        stream = 64 << 20
+        path = data_dir / "mnist" / "train-labels-idx1-ubyte.gz"
+        with gzip.open(path, "wb") as f:
+            f.write(struct.pack(">II", 0x801, 10) + bytes(10))
+            for _ in range(64):
+                f.write(bytes(stream // 64))
+        tracemalloc.start()
+        try:
+            code = main(train_args(data_dir, tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {stream} trailing bytes after payload\n"
+        assert peak < stream // 8
 
     def test_missing_labels_exits_2_naming_path(self, data_dir, tmp_path, capsys):
         (data_dir / "mnist" / "train-labels-idx1-ubyte.gz").unlink()

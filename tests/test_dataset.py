@@ -105,6 +105,48 @@ class TestCorruptGzip:
             load_idx_images(path)
 
 
+class TestBoundedRead:
+    """Memory follows the bytes a file holds, never the size its header declares."""
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_declared_payload_beyond_the_file_is_not_allocated(self, tmp_path, suffix):
+        path = tmp_path / f"imgs{suffix}"
+        blob = image_blob(2**13, 2**13, 2**13, bytes(5))
+        path.write_bytes(gzip.compress(blob) if suffix else blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxTruncatedError, match=f"expected {2**39} bytes, found 5"):
+                load_idx_images(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dataset._READ_CHUNK
+
+    @pytest.mark.parametrize(
+        "extra, error, match",
+        [(-3, IdxTruncatedError, "expected 6 bytes, found 3"), (4, IdxError, "4 trailing bytes")],
+    )
+    def test_regular_file_size_is_checked_before_the_payload_is_read(
+        self, tmp_path, monkeypatch, extra, error, match
+    ):
+        path = tmp_path / "labels"
+        path.write_bytes(struct.pack(">II", LABEL_MAGIC, 6) + bytes(6 + extra))
+        monkeypatch.setattr(dataset, "_read_into", lambda *args: pytest.fail("the payload was read"))
+        with pytest.raises(error, match=match):
+            load_idx_labels(path)
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+    def test_payload_does_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, chunk, suffix):
+        payload = bytes(range(256)) * 3
+        blob = image_blob(3, 16, 16, payload)
+        path = tmp_path / f"imgs{suffix}"
+        path.write_bytes(gzip.compress(blob) if suffix else blob)
+        monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+        images = load_idx_images(path)
+        assert images.shape == (3, 256) and images.tobytes() == payload
+
+
 class TestLoadLabels:
     def test_constructed_fixture(self, tmp_path):
         path = tmp_path / "labels"

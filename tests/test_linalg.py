@@ -381,6 +381,28 @@ assert np.array_equal(linalg.cholesky_solve(a, b), z)
         assert done.returncode == 0, done.stderr
 
 
+class TestLapackStatus:
+    """A LAPACK status the f2py wrappers never return here still ends in RuntimeError."""
+
+    @staticmethod
+    def _stub(monkeypatch, **calls):
+        """Replace LAPACK by a module whose named calls are the given ones, keeping the thread pin."""
+        flapack, threads = linalg._lapack()
+        stub = types.SimpleNamespace(**{"dpotrf": flapack.dpotrf, "dpotrs": flapack.dpotrs, **calls})
+        monkeypatch.setattr(linalg, "_LAPACK", (stub, threads))
+
+    def test_invalid_dpotrf_argument(self, monkeypatch):
+        self._stub(monkeypatch, dpotrf=lambda c, **kwargs: (c, -4))
+        with pytest.raises(RuntimeError, match="invalid argument 4 passed to dpotrf"):
+            cholesky_solve(np.eye(3), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("status", [-2, 1])
+    def test_dpotrs_failure(self, monkeypatch, status):
+        self._stub(monkeypatch, dpotrs=lambda c, b, **kwargs: (b, status))
+        with pytest.raises(RuntimeError, match=f"dpotrs failed with status {status}"):
+            cholesky_solve(np.eye(3), np.ones((3, 1)))
+
+
 class TestLapackThreads:
     """Each LAPACK call holds LAPACK's OpenBLAS at one thread and restores the caller's count."""
 
