@@ -3,8 +3,8 @@
 IDX files are big-endian: a u32 magic, whose low byte is the number of u32
 dimensions that follow it, then the payload bytes.  Images carry magic
 0x00000803 and count/rows/cols; labels carry magic 0x00000801 and a count.
-Gzipped files are detected by their leading magic bytes and decompressed
-transparently.
+Gzipped files are detected by their first byte, 0x1f (a raw IDX file starts
+with 0x00), and decompressed transparently.
 """
 
 from __future__ import annotations
@@ -105,14 +105,15 @@ def _check_labels(labels: np.ndarray, k: int) -> None:
 def _exact(values, dtype, name: str) -> np.ndarray:
     """values as a C-contiguous dtype array, refusing a cast that would change any value.
 
-    Complex values raise ValueError, and so does any entry the cast would
-    change (out of range, fractional or not finite); the message names the
-    first such entry as name[index].  Values already of dtype are not compared.
+    An array that is not boolean, integer or real (complex, object, string)
+    raises ValueError, and so does any entry the cast would change (out of
+    range, fractional or not finite); the message names the first such
+    entry as name[index].  Values already of dtype are not compared.
     """
     given = np.asarray(values)
     if given.dtype == dtype:
         return np.ascontiguousarray(given)
-    if np.iscomplexobj(given):
+    if given.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real, got {given.dtype}")
     with np.errstate(invalid="ignore"):  # NaN and inf are reported below
         cast = given.astype(dtype, order="C")
@@ -147,27 +148,26 @@ def check_noise_fraction(fraction: float) -> None:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
 
 
-def _read_upto(stream, n: int) -> bytearray:
-    """The next n bytes of stream, fewer only where it ends, read _READ_CHUNK bytes at a time."""
-    data = bytearray()
-    while len(data) < n:
-        chunk = stream.read(min(_READ_CHUNK, n - len(data)))
-        if not chunk:
-            break
-        data += chunk
-    return data
+def _read_payload(stream, expected: int, sized: bool) -> np.ndarray:
+    """The next expected + 1 bytes of stream as one uint8 array, fewer only where it ends.
 
-
-def _read_into(stream, buffer) -> int:
-    """Fill buffer from stream, _READ_CHUNK bytes per read; the count read, short only where stream ends."""
-    view = memoryview(buffer)
+    They are read in place, _READ_CHUNK bytes per readinto.  A sized stream,
+    whose length is already checked, gets the whole array at once; any other
+    starts at one chunk and doubles it as the stream fills it.
+    """
+    limit = expected + 1
+    payload = np.empty(limit if sized else min(limit, _READ_CHUNK), dtype=np.uint8)
     filled = 0
-    while filled < len(view):
-        got = stream.readinto(view[filled : filled + _READ_CHUNK])
+    while filled < limit:
+        if filled == payload.size:
+            payload.resize(min(2 * filled, limit), refcheck=False)
+        # a view per read: resize may move the array, so no view outlives one
+        got = stream.readinto(memoryview(payload)[filled : filled + _READ_CHUNK])
         if not got:
             break
         filled += got
-    return filled
+    payload.resize(filled, refcheck=False)
+    return payload
 
 
 def _check_payload(path, found: int, expected: int) -> None:
@@ -181,7 +181,7 @@ def _check_payload(path, found: int, expected: int) -> None:
 def _parse_idx(path, stream, magic: int, size: int | None) -> np.ndarray:
     """The IDX record read from stream, whose length is size bytes when it is known."""
     header_size = 4 + 4 * (magic & 0xFF)
-    header = _read_upto(stream, header_size)
+    header = stream.read(header_size)
     if len(header) < header_size:
         raise IdxTruncatedError(f"{path}: header truncated ({len(header)} bytes)")
     found, *shape = struct.unpack(f">{header_size // 4}I", header)
@@ -192,32 +192,29 @@ def _parse_idx(path, stream, magic: int, size: int | None) -> np.ndarray:
     expected = math.prod(shape)
     if expected > _MAX_PAYLOAD:
         raise IdxDimensionError(f"{path}: declared payload of {expected} bytes is implausible")
-    if size is None:
-        # One byte past the payload reaches a gzip stream's trailer, which checks it.
-        payload = _read_upto(stream, expected + 1)
-        found = len(payload)
-    else:
-        # The checked size bounds the payload, so it is read in place.
+    if size is not None:
         _check_payload(path, size - header_size, expected)
-        payload = np.empty(expected, dtype=np.uint8)
-        found = _read_into(stream, payload) + len(stream.read(1))
+    # One byte past the payload reaches a gzip stream's trailer, which checks it.
+    payload = _read_payload(stream, expected, size is not None)
+    found = payload.size
     if found > expected:
         found += sum(len(chunk) for chunk in iter(lambda: stream.read(_READ_CHUNK), b""))
     _check_payload(path, found, expected)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    return payload.reshape(shape)
 
 
 def _read_idx(path, magic: int) -> np.ndarray:
     """The payload of an IDX file (optionally gzipped) as a uint8 array of its shape.
 
-    The header is magic, then magic & 0xFF u32 dimensions; every dimension
-    after the first must be nonzero.  No read asks for more than _READ_CHUNK
-    bytes, so memory follows the bytes found, never the size a header
-    declares; a regular file's size is checked against that declared size
-    before its payload is read.
+    A file whose first byte is 0x1f is read as gzip.  The header is magic,
+    then magic & 0xFF u32 dimensions; every dimension after the first must
+    be nonzero.  The payload lands in place in one array, at most
+    _READ_CHUNK bytes per read, so memory follows the bytes found, never the
+    size a header declares; a regular file's size is checked against that
+    declared size before its payload is read.
     """
     with open(path, "rb") as f:
-        if f.peek(2)[:2] != b"\x1f\x8b":
+        if f.peek(1)[:1] != b"\x1f":
             st = os.fstat(f.fileno())
             return _parse_idx(path, f, magic, st.st_size if stat.S_ISREG(st.st_mode) else None)
         try:

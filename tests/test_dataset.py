@@ -1,7 +1,10 @@
 """Tests for IDX parsing, normalization, one-hot targets, and pixel dropout."""
 
 import gzip
+import os
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -131,7 +134,7 @@ class TestBoundedRead:
     ):
         path = tmp_path / "labels"
         path.write_bytes(struct.pack(">II", LABEL_MAGIC, 6) + bytes(6 + extra))
-        monkeypatch.setattr(dataset, "_read_into", lambda *args: pytest.fail("the payload was read"))
+        monkeypatch.setattr(dataset, "_read_payload", lambda *args: pytest.fail("the payload was read"))
         with pytest.raises(error, match=match):
             load_idx_labels(path)
 
@@ -145,6 +148,60 @@ class TestBoundedRead:
         monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
         images = load_idx_images(path)
         assert images.shape == (3, 256) and images.tobytes() == payload
+
+    def test_gzipped_payload_is_held_at_its_own_size(self, tmp_path):
+        count = 12_000  # 12 000 images of 28 x 28: a 9.0 MiB payload
+        path = tmp_path / "imgs.gz"
+        path.write_bytes(gzip.compress(image_blob(count, 28, 28, bytes(count * 784)), 1))
+        tracemalloc.start()
+        try:
+            images = load_idx_images(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (count, 784) and not images.any()
+        assert held <= images.nbytes + 64 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+class TestFifo:
+    """IDX files read through a named pipe, whose size is not known up front."""
+
+    @staticmethod
+    def send(path, blob):
+        # The first byte goes alone, so the reader's first peek can see only it.
+        try:
+            with open(path, "wb", buffering=0) as fifo:
+                fifo.write(blob[:1])
+                time.sleep(0.05)
+                fifo.write(blob[1:])
+        except BrokenPipeError:  # the reader refused the file part way
+            pass
+
+    def load(self, path, blob):
+        os.mkfifo(path)
+        writer = threading.Thread(target=self.send, args=(path, blob), daemon=True)
+        writer.start()
+        try:
+            return load_idx_images(path)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("chunk", [3, 1 << 20])
+    def test_first_byte_sent_alone(self, tmp_path, monkeypatch, chunk, suffix):
+        payload = bytes(range(256)) * 3
+        blob = image_blob(3, 16, 16, payload)
+        monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+        images = self.load(tmp_path / f"imgs{suffix}", gzip.compress(blob) if suffix else blob)
+        assert images.shape == (3, 256) and images.tobytes() == payload
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_trailing_bytes(self, tmp_path, suffix):
+        blob = image_blob(1, 1, 2, bytes(2) + b"extra")
+        with pytest.raises(IdxError, match="5 trailing bytes"):
+            self.load(tmp_path / f"imgs{suffix}", gzip.compress(blob) if suffix else blob)
 
 
 class TestLoadLabels:
@@ -334,6 +391,13 @@ class TestOneHot:
         with pytest.raises(ValueError, match=r"labels\[0\] = 1.5 changes when cast to int64"):
             one_hot_encode([1.5], 2)
 
+    @pytest.mark.parametrize(
+        "labels, dtype", [([2**70], "object"), ([None], "object"), (["1"], "<U1")]
+    )
+    def test_non_numeric_label_rejected(self, labels, dtype):
+        with pytest.raises(ValueError, match=f"labels must be real, got {dtype}"):
+            one_hot_encode(labels, 2)
+
 
 class TestZeroPixelNoise:
     @staticmethod
@@ -427,6 +491,9 @@ class TestPairing:
             (np.zeros((2, 4)), [-1, 0], 3, "label out of range"),
             (np.zeros((2, 4)), [0, 1.9], 2, r"labels\[1\] = 1.9 changes when cast to int64"),
             (np.zeros((2, 4)), [0, 1 + 0j], 2, "labels must be real, got complex128"),
+            (np.zeros((2, 4)), [0, 2**70], 2, "labels must be real, got object"),
+            (np.zeros((2, 4)), [None, 0], 2, "labels must be real, got object"),
+            (np.zeros((2, 4)), ["1", "0"], 2, "labels must be real, got <U1"),
         ],
     )
     def test_rejected(self, build, images, labels, num_classes, match):
@@ -468,6 +535,20 @@ class TestLossyRawImages:
     )
     def test_complex_rejected(self, images):
         with pytest.raises(ValueError, match="samples must be real, got complex128"):
+            RawDataset(images=images, labels=[0], num_classes=1)
+
+    @pytest.mark.parametrize(
+        "images, match",
+        [
+            ([[2**70, 1]], "samples must be real, got object"),
+            ([[None, 1]], "samples must be real, got object"),
+            (np.array([[1, 2]], dtype=object), "samples must be real, got object"),
+            ([["1", "2"]], "samples must be real, got <U1"),
+        ],
+        ids=["beyond int64", "None", "object of small ints", "string"],
+    )
+    def test_non_numeric_rejected(self, images, match):
+        with pytest.raises(ValueError, match=match):
             RawDataset(images=images, labels=[0], num_classes=1)
 
 

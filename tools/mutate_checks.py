@@ -12,7 +12,8 @@ Each mutant is written into a temporary copy of the source tree, and the
 fast suite runs on it (``pytest -x -q``).  A mutant the suite still passes
 is a survivor: a check whose removal no test notices.  The unmutated copy
 runs first, through the same parse and unparse, and must pass.  The
-checkout is only read.
+checkout is only read.  The exit status is 0 when every mutant is killed,
+and 1 when one survives or the unmutated copy fails.
 
 Usage, from anywhere in a checkout::
 
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
     print(f"\n{len(survivors)} of {len(todo)} mutants survived")
     for m in survivors:
         print(f"  {m.module}.py:{m.line} {m.kind}: {m.source}")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
