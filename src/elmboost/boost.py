@@ -63,7 +63,7 @@ class HyperParams:
             raise ValueError(f"activation must be an Activation, got {self.activation!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoostedModel:
     """Trained ensemble: hyperparameters plus the level × step grid of weights.
 
@@ -72,7 +72,9 @@ class BoostedModel:
     matrix of step t in level lv.  Projection matrices are regenerated from
     the stored seed, never kept, so the model alone suffices for prediction.
     num_classes and input_width must be integers in [1, 2**32): the model
-    file stores them as u32 fields.
+    file stores them as u32 fields.  Every weight must be finite.  Each of
+    these is checked once, here (ValueError otherwise), and the fields
+    cannot be reassigned after, so every model can be saved and loaded.
     """
 
     hyper: HyperParams
@@ -82,11 +84,16 @@ class BoostedModel:
 
     def __post_init__(self):
         check_ints(1, 32, num_classes=self.num_classes, input_width=self.input_width)
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        object.__setattr__(self, "weights", weights)
         hyper = self.hyper
         shape = (hyper.levels, hyper.t_steps, hyper.hidden, self.num_classes)
-        if self.weights.shape != shape:
-            raise ValueError(f"weight grid has shape {self.weights.shape}, expected {shape}")
+        if weights.shape != shape:
+            raise ValueError(f"weight grid has shape {weights.shape}, expected {shape}")
+        # min and max propagate NaN and reach any infinity, so they check every
+        # weight without allocating a mask of one byte per weight.
+        if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+            raise ValueError("weight grid holds non-finite values")
 
 
 def _slots(levels: int, t_steps: int) -> Iterator[tuple[int, int]]:
@@ -120,16 +127,17 @@ def train(data: Dataset, hyper: HyperParams) -> tuple[BoostedModel, np.ndarray]:
     Only HᵀY, the triangular solves and H·W read the residual.  The rest of
     a slot (projection, encoding, Gram + λ and its Cholesky factor) is a
     pure function of the slot, so the slots are walked on two lanes
-    (lanes.in_order): the calling thread and one worker thread each take
-    the lowest slot nobody has taken, factor it, wait until the slot before
-    is solved, then solve theirs against the residual and update it (HᵀY,
-    the triangular solves, H·W, the weight store and the norm) on their own
-    thread.  The solves run in slot order, so every bit is that of the
-    serial walk.  Two N×J encodings are alive at once.  numpy's BLAS runs
-    on one thread for the whole walk (lanes.in_order pins it) and LAPACK's
-    on one thread in each call (linalg pins it), so no bit depends on the
-    caller's thread counts.  An error names the first failing slot in
-    order, and the worker is joined before train returns or raises.
+    (lanes.in_order): one worker thread takes the even slots of the flat
+    sequence and the calling thread the odd ones.  Each factors its slot,
+    waits until the slot before is solved, then solves its own against the
+    residual and updates it (HᵀY, the triangular solves, H·W, the weight
+    store and the norm) on its own thread.  The solves run in slot order,
+    so every bit is that of the serial walk.  Two N×J encodings are alive
+    at once.  numpy's BLAS runs on one thread for the whole walk
+    (lanes.in_order pins it) and LAPACK's on one thread in each call
+    (linalg pins it), so no bit depends on the caller's thread counts.  An
+    error names the first failing slot in order, and the worker is joined
+    before train returns or raises.
 
     Parameters
     ----------
@@ -286,14 +294,15 @@ def iter_level_scores(model, x_new=None) -> Iterator[tuple]:
     bad call raises there.  Each seed group is then one walk of its own
     (lanes.in_order), the groups one after another in the plan's order.  A
     walk takes the group's (level, step) slots in train's order on two
-    lanes: the calling thread, while the generator runs, and one worker
-    thread, which keeps walking while the generator is suspended.  Each
-    lane computes the slot nobody has taken yet (_slot_terms) and adds its
-    terms to the group's running scores in slot order (_add_terms), so at
-    most two slots' terms are alive; a level's scores are emitted at its
-    last step.  Closing the generator closes the open walk, and a walk
-    joins its worker when it finishes, raises or is closed, so a caller
-    that wants the scores through level k breaks out of the loop there.
+    lanes: one worker thread takes the even slots and the calling thread,
+    while the generator runs, the odd ones.  While the generator is
+    suspended, the worker runs at most two slots ahead.  Each lane
+    computes its slot's terms (_slot_terms) and adds them to the group's
+    running scores in slot order (_add_terms), so at most two slots' terms
+    are alive; a level's scores are emitted at its last step.  Closing the
+    generator closes the open walk, and a walk joins its worker when it
+    finishes, raises or is closed, so a caller that wants the scores
+    through level k breaks out of the loop there.
     Each walk holds numpy's BLAS at one thread for as long as it is open.
     """
     single, groups = _plan(model, x_new)

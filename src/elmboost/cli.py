@@ -74,10 +74,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Cached, as is _ints, so that every parser shares one function per flag rule:
-# fresh closures would join the parser's reference cycles and outlive main
-# until a full garbage collection.
-@functools.cache
 def _checked(parse, rule):
     """argparse type: parse the flag's text, then apply the library's rule for the value.
 
@@ -96,7 +92,6 @@ def _checked(parse, rule):
     return convert
 
 
-@functools.cache
 def _ints(name: str, low: int, bits: int = 32):
     """Rule for an integer flag: check_ints in [low, 2**bits), naming the value."""
     return lambda value: check_ints(low, bits, **{name: value})
@@ -326,7 +321,9 @@ def _add_dataset_flags(sub) -> None:
                      help="number of classes (default 10)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once: main parses every argv with it, so no default is mutable."""
     parser = _Parser(prog="elmboost", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="accuracy per boosting level on the test set")
     _add_dataset_flags(p_curve)
-    p_curve.add_argument("--model", nargs="+", default=["model.elmb"],
+    p_curve.add_argument("--model", nargs="+", default=("model.elmb",),
                          help="trained model path(s); pass a tanh and a sign model "
                               "to get one accuracy column per activation")
     p_curve.add_argument("--out", default="curve.csv", help="output CSV path")
@@ -364,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_noise)
     p_noise.add_argument("--model", default="model.elmb", help="trained model path")
     p_noise.add_argument("--noise-fraction", type=_checked(float, check_noise_fraction),
-                         nargs="+", default=[0.1],
+                         nargs="+", default=(0.1,),
                          help="fraction(s) of pixels to zero per image (default 0.1)")
     p_noise.add_argument("--seed", type=_seed, default=0, help="noise position seed (default 0)")
     p_noise.add_argument("--out", default="noise.csv", help="output CSV path")

@@ -5,14 +5,15 @@ slot and may run on either thread, in any order.  ``finish(slot, result)``
 reads what the slot before it left (a training residual, a running score
 sum), so it runs one slot at a time, in slot order.
 
-``in_order`` walks the slots on two lanes: the calling thread and one worker
-thread.  Each lane takes the lowest slot nobody has taken and computes its
-work while the other lane computes another slot's.  It then waits until the
-slot before is finished, finishes its own slot on its own thread, drops the
-result and takes the next slot.  The finishes therefore run in the order of
-a serial walk, so every result is bitwise the serial walk's.  Neither lane
-waits for the other at a fixed boundary, so both cores stay busy, and at
-most two work results are alive at once.
+``in_order`` walks the slots on two lanes on a fixed schedule: one worker
+thread takes slots 0, 2, 4, ... and the calling thread slots 1, 3, 5, ....
+Each lane computes its slot's work while the other lane computes the slot
+beside it, then waits until the slot before is finished, finishes its own
+slot on its own thread, drops the result and moves two slots on.  The
+finishes therefore run in the order of a serial walk, so every result is
+bitwise the serial walk's, and at most two work results are alive at once.
+The slots of one walk take about equally long, so neither lane waits long
+for the other and both cores stay busy.
 
 OpenBLAS gives other bits on another thread count, and two lanes on two
 cores leave no core for BLAS's own threads.  So a walk holds numpy's BLAS
@@ -38,55 +39,43 @@ from typing import Callable, Iterable, Iterator
 
 from . import linalg
 
-_END = object()  # what next() gives for an exhausted slot source
-# Finish outputs that may wait for the consumer before the worker stops taking
-# slots.  While the consumer runs, at most one waits when the worker takes one.
-_AHEAD = 2
-
 
 class _Walk:
-    """The state two lanes share: the slot source, whose turn it is, outputs and the first error."""
+    """The state two lanes share: the slots, how many are finished, outputs and the first error."""
 
     def __init__(self, slots: Iterable, work: Callable, finish: Callable):
-        self.slots = iter(slots)
+        self.slots = list(slots)
         self.work = work
         self.finish = finish
         self.turn = threading.Condition()
-        self.taken = 0  # slots handed to a lane
         self.done = 0  # slots finished; the next one to finish is slot number `done`
         self.stopped = False
         self.failure: BaseException | None = None
         self.ready: list = []  # finish outputs not yet handed out, in slot order
 
-    def step(self) -> bool:
-        """Take the lowest free slot, compute its work, then finish it in its turn.
+    def step(self, i: int) -> bool:
+        """Compute slot i's work, then finish it in its turn, once slot i - 1 is finished.
 
-        False once no slot is left or the walk has stopped.  An error in
-        work or finish is kept and stops the walk only in the slot's turn,
-        after every earlier slot has finished, so the first error in slot
-        order is the one in_order raises.
+        False once the walk has stopped.  An error in work or finish is kept
+        and stops the walk only in the slot's turn, after every earlier slot
+        has finished, so the first error in slot order is the one in_order
+        raises.
         """
-        with self.turn:
-            slot = _END if self.stopped else next(self.slots, _END)
-            if slot is _END:
-                return False
-            mine = self.taken
-            self.taken += 1
         error = result = output = None
         try:
-            result = self.work(slot)
+            result = self.work(self.slots[i])
         except BaseException as exc:  # re-raised by in_order on the calling thread
             error = exc
         with self.turn:
-            self.turn.wait_for(lambda: self.done == mine or self.stopped)
+            self.turn.wait_for(lambda: self.done == i or self.stopped)
             if self.stopped:
                 return False
         if error is None:
             try:
-                output = self.finish(slot, result)
+                output = self.finish(self.slots[i], result)
             except BaseException as exc:  # re-raised by in_order on the calling thread
                 error = exc
-        del result  # dropped before this lane takes another slot
+        del result  # dropped before this lane computes its next slot
         with self.turn:
             if error is None:
                 self.done += 1
@@ -98,15 +87,9 @@ class _Walk:
         return error is None
 
     def run(self) -> None:
-        """The worker's lane: steps until no slot is left or the walk has stopped.
-
-        It takes no slot while _AHEAD outputs wait: a consumer that pauses
-        holds the walk there instead of letting it run to its end.
-        """
-        while True:
-            with self.turn:
-                self.turn.wait_for(lambda: len(self.ready) < _AHEAD or self.stopped)
-            if not self.step():
+        """The worker's lane: slots 0, 2, 4, ... until they run out or the walk has stopped."""
+        for i in range(0, len(self.slots), 2):
+            if not self.step(i):
                 return
 
     def stop(self) -> None:
@@ -114,43 +97,41 @@ class _Walk:
             self.stopped = True
             self.turn.notify_all()
 
-    def outputs(self, until_over: bool = False) -> list:
-        """The finish outputs not yet handed out; with until_over, once no slot is in flight.
-
-        until_over is for a lane that has found no slot left to take.
-        """
+    def outputs(self) -> list:
+        """The finish outputs not yet handed out."""
         with self.turn:
-            if until_over:
-                self.turn.wait_for(lambda: self.stopped or self.done == self.taken)
             ready, self.ready = self.ready, []
-            self.turn.notify_all()
         return ready
 
 
 def in_order(slots: Iterable, work: Callable, finish: Callable) -> Iterator:
     """What finish(slot, work(slot)) returns for each slot, in slot order, where not None.
 
-    Two lanes walk the slots: this thread, while the generator runs, and one
-    worker thread (see the module docstring).  Slots are drawn from the
-    iterable one at a time, so it may be lazy.  The first error in slot
-    order is raised here, after the outputs of every earlier slot; no later
-    slot is finished.  The worker is joined when the generator finishes,
-    raises or is closed, so no thread outlives the walk; a slot still being
-    computed when it is closed is dropped.  numpy's BLAS runs on one thread
-    from the first resumption until the worker is joined, and the caller's
-    count is restored then.
+    Two lanes walk the slots: one worker thread takes slots 0, 2, 4, ...
+    and this thread, while the generator runs, slots 1, 3, 5, ... (see the
+    module docstring).  The slots are read into a list when the generator
+    first runs.  The first error in slot order is raised here, after the
+    outputs of every earlier slot; no later slot is finished.  The worker is
+    joined when the generator finishes, raises or is closed, so no thread
+    outlives the walk; a slot still being computed when it is closed is
+    dropped.  numpy's BLAS runs on one thread from the first resumption
+    until the worker is joined, and the caller's count is restored then.
 
-    The worker keeps walking while the generator is suspended at a yield,
-    until two outputs wait, in order, for the next resumption.
+    While the generator is suspended at a yield, the worker finishes at most
+    the slot after this thread's last one and computes the work of its next
+    slot, which then waits for the next resumption.
     """
     walk = _Walk(slots, work, finish)
     worker = threading.Thread(target=walk.run, name="elmboost-lane")
     with linalg.one_blas_thread():
         worker.start()
         try:
-            while walk.step():
+            for i in range(1, len(walk.slots), 2):
+                if not walk.step(i):
+                    break
                 yield from walk.outputs()
-            yield from walk.outputs(until_over=True)
+            worker.join()
+            yield from walk.outputs()
             if walk.failure is not None:
                 raise walk.failure
         finally:

@@ -354,17 +354,11 @@ def load(path) -> BoostedModel:
             f"computed {actual_crc:#018x})"
         )
 
-    # The model checks every size, so a bad header ends in ModelFormatError
-    # before the weights are checked.  On little-endian hosts the model keeps
-    # the array read into as its grid.
+    # The model checks every size, then every weight, so a bad header or a
+    # non-finite weight ends in ModelFormatError naming it.  On little-endian
+    # hosts the model keeps the array read into as its grid.
     try:
         hyper = HyperParams(**{name: fields.pop(name) for name in _HYPER_NAMES})
-        model = BoostedModel(hyper=hyper, weights=weights, **fields)
+        return BoostedModel(hyper=hyper, weights=weights, **fields)
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: invalid header: {exc}") from exc
-
-    # min and max propagate NaN and reach any infinity, so they check every
-    # weight without allocating a mask of one byte per weight.
-    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
-        raise ModelFormatError(f"{path}: weight grid holds non-finite values")
-    return model
+        raise ModelFormatError(f"{path}: {exc}") from exc

@@ -219,9 +219,12 @@ def collision_probability(x: np.ndarray, x_other: np.ndarray) -> float:
     """Probability that one random hyperplane hashes x and x_other alike.
 
     Equals 1 − θ/π for the angle θ between the vectors.  Identical and
-    antipodal inputs short-circuit to exactly 1.0 and 0.0; otherwise the
-    cosine is clamped to [−1, 1] before the arccos so floating-point noise
-    cannot produce a NaN.
+    antipodal inputs short-circuit to exactly 1.0 and 0.0.  Otherwise each
+    vector is first scaled by a power of two, exactly, so that its largest
+    magnitude lies in [0.5, 1): the dot product and the norms are then
+    taken at the scale of one, so they neither overflow nor underflow,
+    however large or small the vectors are.  The cosine is clamped to
+    [−1, 1] before the arccos so floating-point noise cannot produce a NaN.
     """
     x, x_other = _vector_pair(x, x_other)
     if not x.any() or not x_other.any():
@@ -230,6 +233,7 @@ def collision_probability(x: np.ndarray, x_other: np.ndarray) -> float:
         return 1.0
     if np.array_equal(x, -x_other):
         return 0.0
+    x, x_other = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, x_other))
     cos = float(x @ x_other) / (float(np.linalg.norm(x)) * float(np.linalg.norm(x_other)))
     theta = float(np.arccos(np.clip(cos, -1.0, 1.0)))
     return 1.0 - theta / np.pi

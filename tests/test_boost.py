@@ -1,5 +1,6 @@
 """Tests for boosted training, prediction, and classification."""
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -372,6 +373,26 @@ class TestBoostedModel:
                 hyper=self.hyper, weights=np.ones((2, 3, 4, num_classes)),
                 num_classes=num_classes, input_width=input_width,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        weights = np.ones((2, 3, 4, 5))
+        weights[1, 0, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BoostedModel(hyper=self.hyper, weights=weights, num_classes=5, input_width=7)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_classes", 6), ("input_width", 8), ("weights", np.ones((2, 3, 4, 5))),
+         ("hyper", HyperParams())],
+    )
+    def test_fields_cannot_be_reassigned(self, name, value):
+        model = BoostedModel(
+            hyper=self.hyper, weights=np.ones((2, 3, 4, 5)), num_classes=5, input_width=7
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+        assert model.num_classes == 5 and model.input_width == 7 and model.hyper == self.hyper
 
 
 class TestPredict:
@@ -1074,23 +1095,34 @@ class TestInOrder:
         assert blas_threads() == 3
         assert {count for _, _, count in seen} == {1}
 
-    def test_lazy_slots_are_drawn_as_taken(self):
-        drawn = []
+    def test_a_paused_consumer_holds_the_worker_close(self):
+        computed = []
 
-        def slots():
-            for slot in range(10_000):
-                drawn.append(slot)
-                yield slot
+        def work(slot):
+            computed.append(slot)
+            return slot
 
-        walk = lanes.in_order(slots(), lambda slot: slot, lambda slot, result: result)
+        walk = lanes.in_order(range(10_000), work, lambda slot, result: result)
         try:
             assert [next(walk) for _ in range(5)] == list(range(5))
             time.sleep(0.1)  # the worker walks on while the consumer pauses, but not far
         finally:
             walk.close()
-        # five handed out, at most two more handed to the generator with them,
-        # at most two waiting or in flight
-        assert len(drawn) <= 5 + 2 + 2
+        # five handed out, at most two more finished with them, at most two
+        # computed and waiting for their turn
+        assert len(computed) <= 5 + 2 + 2
+
+    def test_worker_takes_the_even_slots_and_the_caller_the_odd(self):
+        caller = threading.get_ident()
+        on_caller = {}
+
+        def work(slot):
+            on_caller[slot] = threading.get_ident() == caller
+            return slot
+
+        for _ in lanes.in_order(range(20), work, lambda slot, result: result):
+            time.sleep(0.005)  # a slow consumer leaves the worker free to run ahead
+        assert on_caller == {slot: slot % 2 == 1 for slot in range(20)}
 
 
 class TestClassify:

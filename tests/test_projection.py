@@ -214,6 +214,18 @@ class TestCollisionProbability:
         assert collision_probability([1, 0], [0, 2]) == 0.5
         assert collision_probability([1, 2], [1, 2]) == 1.0
 
+    @pytest.mark.parametrize("x, x_other, want", [
+        ([1e-200, 0.0], [0.0, 1e-200], 0.5),  # the norms' product underflows to zero
+        ([1e300, 1e300], [1e300, -1e300], 0.5),  # the dot product and norms overflow
+        ([1e-160, 1e-160], [1e-160, 0.0], 0.75),  # the dot product is subnormal
+        ([2.0**-1074, 0.0], [0.0, 2.0**-1074], 0.5),
+        ([1.7e308, 0.0], [1.7e308, 1.7e308], 0.75),
+    ], ids=["underflow", "overflow", "subnormal-dot", "least-subnormal", "near-max"])
+    def test_exact_at_any_scale(self, x, x_other, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert collision_probability(x, x_other) == want
+
 
 @pytest.mark.parametrize("estimate", [
     collision_probability,
